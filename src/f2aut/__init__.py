@@ -11,14 +11,12 @@ from .automorphism import (
     ALL_PERMUTATIONS,
     IDENTITY_PERM,
     PRINCIPALS,
-    JCanonicalForm,
     OneLetterAut,
     Permutation,
     WhiteheadII,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
-    canonical_mod_J,
     canonical_witness,
     canonical_word,
     conjugate_by_perm,
@@ -34,6 +32,7 @@ from .class_graph import (
     build_graph,
     classify,
     from_json,
+    to_dict,
     to_dot,
     to_json,
 )
@@ -46,7 +45,6 @@ from .enumeration import (
     enumerate_minimal,
     expected_class_size,
     principal_coincidence_scan,
-    record_to_json_dict,
     render_conjecture_report,
 )
 from .minimality import (
@@ -60,11 +58,13 @@ from .minimality import (
     level_profile,
     minimize,
     parse_token,
+    principal_deltas,
     replay_witness,
 )
 from .word_core import (
     SubwordCounts,
     all_rotations,
+    check_cyclic_word,
     check_word,
     cyclic_reduce,
     free_reduce,

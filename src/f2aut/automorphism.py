@@ -8,8 +8,10 @@ one-letter cases ({y}, x): y -> yx, y^-1 -> x^-1 y^-1.
 
 Conjugation is factored out by working with cyclic words: rotations stand
 in for inner automorphisms.  The canonical form modulo rotations and
-signed permutations (canonical_mod_J) picks the lexicographically least
+signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B.
+canonical_word, canonical_witness and the enumeration's mod-J filter all
+read the candidates from one generator, _rotation_keys.
 """
 
 from __future__ import annotations
@@ -19,14 +21,11 @@ from functools import lru_cache
 
 from .word_core import (
     LETTERS,
+    check_cyclic_word,
     cyclic_reduce,
     free_reduce,
     inverse_letter,
-    is_cyclic_word,
-    least_rotation,
-    least_rotation_index,
     order_key,
-    rotate,
 )
 
 
@@ -39,8 +38,8 @@ class Permutation:
 
     def __post_init__(self):
         a, b = self.image_of_a, self.image_of_b
-        assert a in LETTERS and b in LETTERS
-        assert {a.lower(), b.lower()} == {"a", "b"}, "images must cover both generators"
+        if a not in LETTERS or b not in LETTERS or {a.lower(), b.lower()} != {"a", "b"}:
+            raise ValueError(f"P[{a},{b}]: the images must be letters covering both generators")
 
     @property
     def table(self):
@@ -84,10 +83,9 @@ class WhiteheadII:
     x: str
 
     def __post_init__(self):
-        assert self.x in LETTERS
-        assert not (self.members & {self.x, inverse_letter(self.x)}), (
-            "member set must avoid the multiplier and its inverse"
-        )
+        x = self.x
+        if x not in LETTERS or not self.members <= set(LETTERS) - {x, inverse_letter(x)}:
+            raise ValueError("members must be letters other than the multiplier and its inverse")
 
     def letter_image(self, u: str) -> str:
         left = inverse_letter(self.x) if inverse_letter(u) in self.members else ""
@@ -114,10 +112,9 @@ class OneLetterAut:
     x: str
 
     def __post_init__(self):
-        assert self.y in LETTERS and self.x in LETTERS
-        assert self.y not in (self.x, inverse_letter(self.x)), (
-            "the moved letter must not be the multiplier or its inverse"
-        )
+        y, x = self.y, self.x
+        if y not in LETTERS or x not in LETTERS or y in (x, inverse_letter(x)):
+            raise ValueError(f"W[{y},{x}]: y and x must be letters, y not x or its inverse")
 
     def as_whitehead(self) -> WhiteheadII:
         return WhiteheadII(frozenset({self.y}), self.x)
@@ -191,48 +188,54 @@ def apply_cyclic(phi, w: str) -> str:
     return cyclic_reduce(apply_whitehead(phi, w))[0]
 
 
-@dataclass(frozen=True)
-class JCanonicalForm:
-    """Least rotation over all 8 permutation images; the class label for ~J."""
+# letter -> order digit of its image, one table per ALL_PERMUTATIONS entry
+_ORDER_TABLES = tuple(
+    str.maketrans({c: order_key(pi(c)) for c in LETTERS}) for pi in ALL_PERMUTATIONS
+)
+_FROM_ORDER = str.maketrans("0123", LETTERS)
 
-    word: str
+
+def _rotation_keys(w: str):
+    """Order keys of the rotations of the permutation images of w that start with a.
+
+    Some image of a nonempty word contains a, so the least rotation of all
+    the images starts with a and is the least of these keys.  The identity
+    image comes last, so a filter testing a necklace, which no rotation of
+    its own undercuts, meets a smaller key sooner.  Callers validate w.
+    """
+    n = len(w)
+    for table in _ORDER_TABLES[1:] + _ORDER_TABLES[:1]:
+        t = w.translate(table)
+        tt = t + t
+        i = t.find("0")
+        while i != -1:
+            yield tt[i : i + n]
+            i = t.find("0", i + 1)
 
 
 def canonical_word(w: str) -> str:
-    """The raw canonical string; see canonical_mod_J."""
-    assert is_cyclic_word(w)
-    best = least_rotation(w)
-    best_key = order_key(best)
-    for pi in ALL_PERMUTATIONS:
-        if pi is IDENTITY_PERM:
-            continue
-        cand = least_rotation(pi(w))
-        key = order_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
-
-
-def canonical_mod_J(w: str) -> JCanonicalForm:
     """Minimum over all rotations of all 8 permutation images, in a < b < A < B order.
 
     Two cyclic words get the same canonical form exactly when one is a
     rotation of a permutation image of the other.
     """
-    return JCanonicalForm(canonical_word(w))
+    check_cyclic_word(w)
+    return min(_rotation_keys(w), default="").translate(_FROM_ORDER)
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:
-    """(canonical, pi, k) with rotate(pi(w), k) == canonical."""
-    assert is_cyclic_word(w)
-    best = None
-    for pi in ALL_PERMUTATIONS:
-        image = pi(w)
-        k = least_rotation_index(image)
-        cand = rotate(image, k)
-        if best is None or order_key(cand) < order_key(best[0]):
-            best = (cand, pi, k)
-    return best
+    """(canonical, pi, k) with rotate(pi(w), k) == canonical.
+
+    pi is the first permutation, in ALL_PERMUTATIONS order, whose image
+    reaches the canonical form, and k the least rotation that does.
+    """
+    check_cyclic_word(w)
+    key = min(_rotation_keys(w), default="")
+    for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
+        t = w.translate(table)
+        k = (t + t).find(key)
+        if k != -1:
+            return key.translate(_FROM_ORDER), pi, k
 
 
 def triangle_decompose(x: str, y: str):

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 
 from .automorphism import PRINCIPALS, apply_cyclic, canonical_word
 from .minimality import is_minimal, is_root
-from .word_core import cyclic_reduce, free_reduce, is_alternating, order_key
+from .word_core import (
+    TheoremViolation,
+    cyclic_reduce,
+    free_reduce,
+    is_alternating,
+    order_key,
+    weight,
+)
 
 GRAPH_TYPES = ("P1", "P2", "P3", "R1", "R2", "R3", "R4", "R5", "R6", "R7")
-
-
-class TheoremViolation(Exception):
-    """An enumerated structure contradicts a proved statement; must never fire."""
 
 
 @dataclass(frozen=True)
@@ -194,17 +197,22 @@ def alternating_vertex(g: ClassGraph):
     return hits[0] if hits else None
 
 
-def to_json(g: ClassGraph) -> str:
-    payload = {
+def to_dict(g: ClassGraph) -> dict:
+    """The JSON schema of a class graph; enumerate --out prefixes it with the class id."""
+    return {
         "length": len(g.vertices[0]),
         "type": g.gtype,
         "size": len(g.vertices),
+        "weight": weight(g.vertices[0]),
         "root": g.is_root_class,
         "alternating": g.has_alternating,
         "vertices": list(g.vertices),
         "edges": [list(e) for e in g.edges],
     }
-    return json.dumps(payload)
+
+
+def to_json(g: ClassGraph) -> str:
+    return json.dumps(to_dict(g))
 
 
 def from_json(text: str) -> ClassGraph:

@@ -21,14 +21,12 @@ import sys
 from pathlib import Path
 
 from .automorphism import canonical_word
-from .class_graph import TheoremViolation, build_graph, to_dot, to_json
+from .class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict, to_dot, to_json
 from .enumeration import (
-    GRAPH_TYPE_ORDER,
     census,
     conjecture_report,
     expected_class_size,
     principal_coincidence_scan,
-    record_to_json_dict,
     render_conjecture_report,
 )
 from .minimality import (
@@ -199,13 +197,13 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _type_count_rows(tables) -> list:
-    rows = [["n", *GRAPH_TYPE_ORDER, "classes", "vertices"]]
+    rows = [["n", *GRAPH_TYPES, "classes", "vertices"]]
     for n in sorted(tables.type_counts):
         counts = tables.type_counts[n]
         rows.append(
             [
                 n,
-                *[counts.get(g, 0) for g in GRAPH_TYPE_ORDER],
+                *[counts.get(g, 0) for g in GRAPH_TYPES],
                 tables.class_totals[n],
                 tables.vertex_totals[n],
             ]
@@ -229,23 +227,22 @@ def cmd_enumerate(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    scan = {} if args.scan_coincidences else None
+
     def sink(n, records):
+        if scan is not None:
+            scan[n] = principal_coincidence_scan(records)
         if out_dir is None:
             return
         with (out_dir / f"classes_{n}.jsonl").open("w") as fh:
             for rec in records:
                 if args.weight is not None and rec.weight != args.weight:
                     continue
-                fh.write(json.dumps(record_to_json_dict(rec)) + "\n")
+                fh.write(json.dumps({"id": rec.class_id, **to_dict(rec.graph)}) + "\n")
 
     tables = census(lengths, workers=workers, sink=sink)
 
     report = conjecture_report(tables) if args.check_conjectures else None
-    scan = (
-        {n: principal_coincidence_scan(n, workers) for n in lengths}
-        if args.scan_coincidences
-        else None
-    )
 
     if out_dir is not None:
         _write_csv(out_dir / "type_counts.csv", _type_count_rows(tables))
@@ -264,7 +261,7 @@ def cmd_enumerate(args) -> int:
     if args.format == "json":
         payload = {
             "type_counts": {
-                str(n): {g: tables.type_counts[n].get(g, 0) for g in GRAPH_TYPE_ORDER}
+                str(n): {g: tables.type_counts[n].get(g, 0) for g in GRAPH_TYPES}
                 for n in sorted(tables.type_counts)
             },
             "class_totals": {str(n): tables.class_totals[n] for n in sorted(tables.class_totals)},

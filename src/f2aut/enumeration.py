@@ -4,16 +4,18 @@ Pipeline, per length n:
 
 1. generate every cyclically reduced necklace (least rotation) containing
    the letter a, with a Duval-style scan over letter codes;
-2. keep the words that are minimal (no principal automorphism shortens);
-3. keep the least representative mod rotation and signed permutation,
-   so each surviving word is one vertex of one class graph;
-4. for each vertex apply the length-preserving principal automorphisms,
+2. keep the words that are minimal: principal_deltas has no negative entry;
+3. keep the least representative mod rotation and signed permutation (no
+   _rotation_keys key is below the word's own), so each surviving word is
+   one vertex of one class graph;
+4. for each vertex apply the principal automorphisms with length change 0,
    reduce the images to their canonical forms, and union the endpoints;
 5. assemble one ClassGraph per union component and number the classes
    by ascending (size, least word).
 
 Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.
+principal_coincidence_scan reads the records instead of enumerating again.
 """
 
 from __future__ import annotations
@@ -23,18 +25,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphism import ALL_PERMUTATIONS, PRINCIPALS, apply_cyclic, canonical_word
+from .automorphism import PRINCIPALS, _rotation_keys, apply_cyclic, canonical_word
+from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
-from .word_core import inverse_letter, order_key, pair_counts, weight
+from .minimality import principal_deltas
+from .word_core import inverse_letter, letter_tally, order_key, pair_counts, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _LETTERS = "abAB"
-
-# letter -> order digit of the letter's image under each non-identity permutation
-_NONID_PERM_ORDER_TABLES = tuple(
-    str.maketrans({ch: order_key(perm(ch)) for ch in _LETTERS})
-    for perm in ALL_PERMUTATIONS[1:]
-)
 
 
 def _necklace_scan(n: int, prefix: str, visit) -> None:
@@ -76,52 +74,24 @@ def _necklace_scan(n: int, prefix: str, visit) -> None:
     rec(2, 1)
 
 
-def _is_least_mod_perms(w: str, tw: str) -> bool:
-    """True when no permutation image of w has a rotation below tw = order_key(w).
-
-    w must already be its own least rotation and start with a, so only
-    rotations that start with the least order digit can compete.
-    """
-    n = len(w)
-    for tbl in _NONID_PERM_ORDER_TABLES:
-        t = w.translate(tbl)
-        i = t.find("0")
-        if i == -1:
-            continue
-        tt = t + t
-        while i != -1:
-            if tt[i : i + n] < tw:
-                return False
-            i = t.find("0", i + 1)
-    return True
-
-
 def _shard_job(args) -> list:
     """One shard: (vertex word, [(principal index, canonical image), ...]) rows."""
     n, prefix = args
     rows = []
 
     def visit(w: str) -> None:
-        pc = pair_counts(w)
-        dev = abs(pc.ab - pc.ab_bar)
-        if dev > pc.aa or dev > pc.bb:
+        # pair_counts stays a module-global call: perfbench/layertrace.py counts necklaces there
+        deltas = principal_deltas(*letter_tally(w), pair_counts(w))
+        if min(deltas) < 0:
             return  # not minimal
         tw = order_key(w)
-        if not _is_least_mod_perms(w, tw):
-            return
-        alpha = w.count("a") + w.count("A")
-        beta = n - alpha
-        images = []
-        for p, delta in (
-            (1, alpha - 2 * pc.ab_bar),
-            (2, alpha - 2 * pc.ab),
-            (3, beta - 2 * pc.ab_bar),
-            (4, beta - 2 * pc.ab),
-        ):
-            if delta == 0:
-                images.append((p, canonical_word(apply_cyclic(PRINCIPALS[p - 1], w))))
-            elif delta < 0:
-                raise TheoremViolation(f"principal {p} shortens the minimal word {w!r}")
+        if not all(key >= tw for key in _rotation_keys(w)):
+            return  # a rotation of a permutation image is smaller
+        images = [
+            (p, canonical_word(apply_cyclic(phi, w)))
+            for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1)
+            if delta == 0
+        ]
         rows.append((w, images))
 
     _necklace_scan(n, prefix, visit)
@@ -216,23 +186,6 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
         ClassRecord(f"{n}.{k}", n, len(g.vertices), weight(g.vertices[0]), g.gtype, g)
         for k, g in enumerate(graphs, start=1)
     ]
-
-
-def record_to_json_dict(rec: ClassRecord) -> dict:
-    return {
-        "id": rec.class_id,
-        "length": rec.length,
-        "type": rec.gtype,
-        "size": rec.size,
-        "weight": rec.weight,
-        "root": rec.graph.is_root_class,
-        "alternating": rec.graph.has_alternating,
-        "vertices": list(rec.graph.vertices),
-        "edges": [list(e) for e in rec.graph.edges],
-    }
-
-
-GRAPH_TYPE_ORDER = ("P1", "P2", "P3", "R1", "R2", "R3", "R4", "R5", "R6", "R7")
 
 
 @dataclass
@@ -471,15 +424,17 @@ def render_conjecture_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def principal_coincidence_scan(n: int, workers: int = 1) -> list:
-    """Check, for every vertex, the implications among coincidences of the
-    four principal image classes; returns the counterexamples found.
+def principal_coincidence_scan(records) -> list:
+    """Check, for every vertex of one length's records, the implications
+    among coincidences of the four principal image classes; returns the
+    counterexamples found, in ascending vertex order.
 
     With c_i the canonical form of the i-th principal image, the scanned
     implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.
     """
     failures = []
-    for w in enumerate_minimal(n, workers):
+    vertices = sorted((w for rec in records for w in rec.representatives), key=order_key)
+    for w in vertices:
         c = [canonical_word(apply_cyclic(phi, w)) for phi in PRINCIPALS]
         for rule, hyp, conc in (
             ("12=>34", c[0] == c[1], c[2] == c[3]),

@@ -1,8 +1,10 @@
 """Level tests, minimality, greedy reduction, and the conjugacy decision.
 
 A cyclic word is minimal when no automorphism shortens it; in rank 2 it is
-enough to test the four principal one-letter automorphisms.  Minimality has
-a closed form in the 2-letter pattern counts:
+enough to test the four principal one-letter automorphisms.  ({y}, x)
+changes the cyclic length by (y)_w - 2 (y x^-1)_w; principal_deltas is the
+one place this is computed.  Minimality has a closed form in the 2-letter
+pattern counts:
 
     |(ab)_w - (a b^-1)_w| <= min((aa)_w, (bb)_w)
 
@@ -26,16 +28,18 @@ from .automorphism import (
     Permutation,
     apply_cyclic,
     canonical_witness,
+    principal_index,
+    principal_of,
 )
 from .word_core import (
+    TheoremViolation,
+    check_cyclic_word,
     cyclic_reduce,
     free_reduce,
-    inverse_letter,
-    is_cyclic_word,
+    is_alternating,
     letter_tally,
     pair_counts,
     rotate,
-    subword_count,
 )
 
 
@@ -49,11 +53,24 @@ class LevelProfile:
     is_alternating: bool
 
 
+def principal_deltas(a_count: int, b_count: int, pc) -> tuple:
+    """Cyclic length change of a word under each principal, in PRINCIPALS order.
+
+    Takes the word's letter_tally and pair_counts.  As cyclic counts,
+    (y x^-1)_w is (aB) for ({a},b) and ({b},a), and (ab) for ({a},B) and ({b},A).
+    """
+    return (
+        a_count - 2 * pc.ab_bar,
+        a_count - 2 * pc.ab,
+        b_count - 2 * pc.ab_bar,
+        b_count - 2 * pc.ab,
+    )
+
+
 def is_minimal(w: str) -> bool:
-    """No automorphism shortens w; closed-form test on the pattern counts."""
-    assert is_cyclic_word(w)
-    pc = pair_counts(w)
-    return abs(pc.ab - pc.ab_bar) <= min(pc.aa, pc.bb)
+    """No automorphism shortens w: no principal has a negative length change."""
+    check_cyclic_word(w)
+    return min(principal_deltas(*letter_tally(w), pair_counts(w))) >= 0
 
 
 def is_root(w: str) -> bool:
@@ -63,7 +80,7 @@ def is_root(w: str) -> bool:
     itself, and treating it as a root would break the divisibility facts
     that hold for every other root class.
     """
-    assert is_cyclic_word(w)
+    check_cyclic_word(w)
     if len(w) == 1:
         return False
     pc = pair_counts(w)
@@ -71,59 +88,29 @@ def is_root(w: str) -> bool:
 
 
 def is_alternating_minimal(w: str) -> bool:
-    from .word_core import is_alternating
-
     return is_alternating(w) and is_minimal(w)
 
 
 def image_length(phi: OneLetterAut, w: str) -> int:
     """Cyclic length of phi(w) without building the image.
 
-    Each y-type letter gains one x, and each occurrence of the pattern
-    y x^-1 cancels a pair after the substitution, cyclically:
-    |phi(w)| = |w| + (y)_w - 2 (y x^-1)_w.
+    phi acts on cyclic words like its principal, principal_of(phi).
     """
-    a_count, b_count = letter_tally(w)
-    y_count = a_count if phi.y in "aA" else b_count
-    drop = subword_count(w, phi.y + inverse_letter(phi.x)) if len(w) >= 2 else 0
-    return len(w) + y_count - 2 * drop
+    deltas = principal_deltas(*letter_tally(w), pair_counts(w))
+    return len(w) + deltas[principal_index(principal_of(phi)) - 1]
 
 
 def is_level(phi: OneLetterAut, w: str) -> bool:
-    """Does phi preserve the cyclic length of w?
-
-    For len(w) >= 2 this is the count identity
-    (y x^-1)_w = (yx)_w + (yy)_w; shorter words use the image length
-    directly, where the identity does not apply.
-    """
-    assert is_cyclic_word(w)
-    if len(w) < 2:
-        return len(apply_cyclic(phi, w)) == len(w)
-    y, x = phi.y, phi.x
-    lhs = subword_count(w, y + inverse_letter(x))
-    rhs = subword_count(w, y + x) + subword_count(w, y + y)
-    return lhs == rhs
-
-
-def _principal_deltas(w: str):
-    """Cyclic length change of w under each principal automorphism."""
-    a_count, b_count = letter_tally(w)
-    pc = pair_counts(w)
-    # (y x^-1)_w per principal: ({a},b)->(aB), ({a},B)->(ab),
-    # ({b},a)->(bA)=(aB) pattern, ({b},A)->(ba)=(ab) as cyclic counts
-    return (
-        a_count - 2 * pc.ab_bar,
-        a_count - 2 * pc.ab,
-        b_count - 2 * pc.ab_bar,
-        b_count - 2 * pc.ab,
-    )
+    """Does phi preserve the cyclic length of w?"""
+    check_cyclic_word(w)
+    return image_length(phi, w) == len(w)
 
 
 def _minimize_states(w: str):
     """Greedy reduction recording every intermediate word, start included."""
     states, trace = [w], []
     while True:
-        deltas = _principal_deltas(states[-1])
+        deltas = principal_deltas(*letter_tally(states[-1]), pair_counts(states[-1]))
         for phi, delta in zip(PRINCIPALS, deltas):
             if delta < 0:
                 states.append(apply_cyclic(phi, states[-1]))
@@ -140,15 +127,13 @@ def minimize(w: str) -> tuple[str, tuple]:
     strictly shrinks the cyclic length.  Returns the minimal word reached
     and the trace of automorphisms applied, in application order.
     """
-    assert is_cyclic_word(w)
+    check_cyclic_word(w)
     states, trace = _minimize_states(w)
     return states[-1], trace
 
 
 def level_profile(w: str) -> LevelProfile:
     """Level flags for the four principals plus the word predicates."""
-    from .word_core import is_alternating
-
     if not is_minimal(w):
         raise ValueError(f"level_profile requires a minimal word, got {w!r}")
     flags = tuple(is_level(phi, w) for phi in PRINCIPALS)
@@ -198,13 +183,10 @@ def replay_witness(w: str, tokens) -> str:
 
 def _rotation_aligning(cur: str, target: str) -> int:
     """k with rotate(cur, k) == target; the words must be rotations of each other."""
-    if not cur:
-        assert target == ""
-        return 0
-    for k in range(len(cur)):
-        if rotate(cur, k) == target:
-            return k
-    raise AssertionError(f"{cur!r} is not a rotation of {target!r}")
+    k = (cur + cur).find(target) if len(cur) == len(target) else -1
+    if not 0 <= k < max(len(cur), 1):
+        raise TheoremViolation(f"{cur!r} is not a rotation of {target!r}")
+    return k
 
 
 def _bfs_path(start: str, target: str):
@@ -287,9 +269,11 @@ def are_conjugate(w: str, v: str, witness: bool = True):
     # invert the canonicalization of mv, then walk its reduction backwards
     emit(pi_v.inverse())
     emit((len(mv) - k_v) % len(mv) if mv else 0)
-    assert cur == mv
+    if cur != mv:
+        raise TheoremViolation(f"witness reaches {cur!r}, not the minimal word {mv!r}")
     for i in reversed(range(len(v_trace))):
         emit(v_trace[i].inverse())
         emit(_rotation_aligning(cur, v_states[i]))
-    assert cur == cv
+    if cur != cv:
+        raise TheoremViolation(f"witness reaches {cur!r}, not {cv!r}")
     return True, tuple(format_token(t) for t in tokens)

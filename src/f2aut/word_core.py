@@ -25,6 +25,10 @@ _INVERT_TABLE = str.maketrans("abAB", "ABab")
 _ORDER_TABLE = str.maketrans("abAB", "0123")
 
 
+class TheoremViolation(Exception):
+    """An enumerated structure contradicts a proved statement; must never fire."""
+
+
 class SubwordCounts(NamedTuple):
     """Cyclic 2-letter pattern counts: each field counts the pattern and its inverse."""
 
@@ -40,6 +44,13 @@ def check_word(s: str) -> str:
         if c not in _INV:
             raise ValueError(f"invalid letter {c!r}: words use only 'a', 'b', 'A', 'B'")
     return s
+
+
+def check_cyclic_word(w: str) -> str:
+    """Validate that w is a cyclic word (see is_cyclic_word); returns w unchanged."""
+    if not is_cyclic_word(check_word(w)):
+        raise ValueError(f"{w!r} is not cyclically reduced")
+    return w
 
 
 def inverse_letter(c: str) -> str:
@@ -111,15 +122,6 @@ def least_rotation(w: str) -> str:
     doubled = order_key(w) * 2
     best = min(range(n), key=lambda i: doubled[i : i + n])
     return w[best:] + w[:best]
-
-
-def least_rotation_index(w: str) -> int:
-    """Smallest k such that rotate(w, k) is the least rotation."""
-    n = len(w)
-    if n <= 1:
-        return 0
-    doubled = order_key(w) * 2
-    return min(range(n), key=lambda i: doubled[i : i + n])
 
 
 def _count_occurrences(ext: str, u: str, limit: int) -> int:

@@ -13,14 +13,12 @@ from f2aut.automorphism import (
     ALL_PERMUTATIONS,
     IDENTITY_PERM,
     PRINCIPALS,
-    JCanonicalForm,
     OneLetterAut,
     Permutation,
     WhiteheadII,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
-    canonical_mod_J,
     canonical_witness,
     canonical_word,
     conjugate_by_perm,
@@ -49,7 +47,7 @@ def test_permutation_basics():
     assert swap("abAB") == "baBA"
     flip = Permutation("A", "b")
     assert flip("aA") == "Aa"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Permutation("a", "A")  # images must hit both generator pairs
 
 
@@ -86,7 +84,7 @@ def test_whitehead_letter_images():
     assert inner.letter_image("a") == "Bab"
     assert inner.letter_image("A") == "BAb"
     assert inner.letter_image("b") == "b"
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         WhiteheadII(frozenset({"b"}), "b")  # member set may not contain the multiplier
 
 
@@ -127,9 +125,9 @@ def test_one_letter_vocabulary():
     assert len(set(ALL_ONE_LETTER)) == 8
     assert str(OneLetterAut("a", "b")) == "W[a,b]"
     assert OneLetterAut("a", "b").inverse() == OneLetterAut("a", "B")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         OneLetterAut("a", "a")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         OneLetterAut("a", "A")
 
 
@@ -196,18 +194,31 @@ def test_canonical_word_is_class_invariant(w, pi, k):
 
 
 @given(cyclic_reduced_words())
-def test_canonical_mod_J_wraps_canonical_word(w):
-    form = canonical_mod_J(w)
-    assert isinstance(form, JCanonicalForm)
-    assert form.word == canonical_word(w)
-    assert form == canonical_mod_J(least_rotation(w))
-
-
-@given(cyclic_reduced_words())
 def test_canonical_witness_equation(w):
     canonical, pi, k = canonical_witness(w)
     assert canonical == canonical_word(w)
     assert rotate(pi(w), k) == canonical
+
+
+def brute_force_witness(w):
+    """The first pi in ALL_PERMUTATIONS order reaching the canonical form, then the least k."""
+    target = orc.o_canonical(w)
+    for pi in ALL_PERMUTATIONS:
+        for k in range(max(len(w), 1)):
+            if rotate(pi(w), k) == target:
+                return target, pi, k
+    raise AssertionError(f"no rotation of a permutation image of {w!r} is canonical")
+
+
+@given(cyclic_reduced_words(min_size=13, max_size=300))
+def test_canonical_forms_on_long_words(w):
+    assert canonical_word(w) == orc.o_canonical(w)
+    assert canonical_witness(w) == brute_force_witness(w)
+
+
+@pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))
+def test_canonical_witness_tie_break_on_periodic_words(w):
+    assert canonical_witness(w) == brute_force_witness(w)
 
 
 def test_triangle_decompose_rejects_bad_letters():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles as orc
+from f2aut.class_graph import GRAPH_TYPES, ClassGraph, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
     LIMIT_SEQUENCE,
@@ -15,7 +16,6 @@ from f2aut.enumeration import (
     enumerate_minimal,
     expected_class_size,
     principal_coincidence_scan,
-    record_to_json_dict,
     render_conjecture_report,
 )
 from f2aut.word_core import order_key, weight
@@ -101,8 +101,8 @@ def test_census_aggregation_and_sink():
 
 def test_record_json_shape():
     rec = enumerate_classes(4)[1]
-    d = record_to_json_dict(rec)
-    assert set(d) == {
+    d = {"id": rec.class_id, **to_dict(rec.graph)}  # one classes_<n>.jsonl line
+    assert list(d) == [
         "id",
         "length",
         "type",
@@ -112,15 +112,17 @@ def test_record_json_shape():
         "alternating",
         "vertices",
         "edges",
-    }
+    ]
     assert d["id"] == "4.2"
+    assert (d["length"], d["size"], d["weight"]) == (rec.length, rec.size, rec.weight)
     assert d["vertices"] == ["abAB"]
     assert d["type"] == "R4"
     assert d["root"] is True and d["alternating"] is True
 
 
 def test_graph_type_order():
-    assert GRAPH_TYPE_ORDER == ("P1", "P2", "P3", "R1", "R2", "R3", "R4", "R5", "R6", "R7")
+    assert GRAPH_TYPE_ORDER is GRAPH_TYPES
+    assert GRAPH_TYPES == ("P1", "P2", "P3", "R1", "R2", "R3", "R4", "R5", "R6", "R7")
     assert len(LIMIT_SEQUENCE) == 12
 
 
@@ -154,7 +156,26 @@ def test_conjecture_report_shape_and_small_range():
 
 @pytest.mark.parametrize("n", range(9))
 def test_no_principal_coincidence_failures(n):
-    assert principal_coincidence_scan(n) == []
+    assert principal_coincidence_scan(enumerate_classes(n)) == []
+
+
+def test_coincidence_scan_reads_records_in_vertex_order():
+    # non-minimal words break the implications, and the scan accepts any records
+    words = orc.necklaces(6)
+    records = [
+        ClassRecord(f"6.{i}", 6, 1, weight(w), "P1", ClassGraph((w,), (), False, False, "P1"))
+        for i, w in enumerate(reversed(words))
+    ]
+    failures = principal_coincidence_scan(records)
+    assert failures == principal_coincidence_scan(records[::-1])
+    keys = [order_key(f["word"]) for f in failures]
+    assert keys and keys == sorted(keys)
+    for f in failures:
+        images = [
+            orc.o_canonical(orc.o_apply_cyclic(orc.one_letter_map(y, x), f["word"]))
+            for y, x in ("ab", "aB", "ba", "bA")
+        ]
+        assert f["images"] == images
 
 
 def test_class_record_is_frozen():

@@ -17,6 +17,7 @@ from f2aut.automorphism import (
 )
 from f2aut.minimality import (
     LevelProfile,
+    _rotation_aligning,
     apply_token,
     are_conjugate,
     format_token,
@@ -31,6 +32,7 @@ from f2aut.minimality import (
     replay_witness,
 )
 from f2aut.word_core import (
+    TheoremViolation,
     cyclic_reduce,
     free_reduce,
     invert,
@@ -234,3 +236,23 @@ def test_are_conjugate_is_symmetric(w, v):
 def test_witness_flag_false_suppresses_tokens(w):
     flag, tokens = are_conjugate(w, rotate(w, 1), witness=False)
     assert flag and tokens is None
+
+
+def test_rotation_aligning_finds_the_least_shift():
+    assert _rotation_aligning("", "") == 0
+    assert _rotation_aligning("abAB", "ABab") == 2
+    assert _rotation_aligning("abab", "abab") == 0
+    assert _rotation_aligning("abab", "baba") == 1
+
+
+@pytest.mark.parametrize("cur, target", (("ab", "aa"), ("ab", "abab"), ("", "a"), ("a", "")))
+def test_rotation_aligning_raises_theorem_violation(cur, target):
+    with pytest.raises(TheoremViolation):
+        _rotation_aligning(cur, target)
+
+
+def test_theorem_violation_is_one_class():
+    import f2aut
+    from f2aut import class_graph
+
+    assert f2aut.TheoremViolation is class_graph.TheoremViolation is TheoremViolation

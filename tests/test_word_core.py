@@ -21,7 +21,6 @@ from f2aut.word_core import (
     is_cyclic_word,
     is_reduced,
     least_rotation,
-    least_rotation_index,
     letter_tally,
     m_value,
     order_key,
@@ -142,7 +141,6 @@ def test_rotations_preserve_cyclic_words(w, k):
 def test_least_rotation_matches_oracle(w):
     lr = least_rotation(w)
     assert lr == orc.o_least_rotation(w)
-    assert rotate(w, least_rotation_index(w)) == lr
     assert all(order_key(lr) <= order_key(r) for r in all_rotations(w))
 
 
