@@ -11,7 +11,8 @@ in for inner automorphisms.  The canonical form modulo rotations and
 signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B.
 canonical_word, canonical_witness and the enumeration's mod-J filter all
-read the candidates from one generator, _rotation_keys.
+read the candidates from one generator, _rotation_keys, which yields only
+the rotations that start with a given run of a's.
 """
 
 from __future__ import annotations
@@ -195,22 +196,47 @@ _ORDER_TABLES = tuple(
 _FROM_ORDER = str.maketrans("0123", LETTERS)
 
 
-def _rotation_keys(w: str):
-    """Order keys of the rotations of the permutation images of w that start with a.
+def _longest_run(w: str) -> int:
+    """Length of the longest cyclic run of one letter in w, at most len(w)."""
+    n = len(w)
+    ww = w + w
 
-    Some image of a nonempty word contains a, so the least rotation of all
-    the images starts with a and is the least of these keys.  The identity
-    image comes last, so a filter testing a necklace, which no rotation of
-    its own undercuts, meets a smaller key sooner.  Callers validate w.
+    def has_run(k):
+        return k <= n and ("a" * k in ww or "b" * k in ww or "A" * k in ww or "B" * k in ww)
+
+    lo, hi = min(n, 1), 2  # has_run(lo) holds; double hi until has_run(hi) fails
+    while has_run(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if has_run(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _rotation_keys(w: str, run: int):
+    """Order keys of the rotations of the permutation images of w that start
+    with run a's.
+
+    The least rotation of all the images starts with a^r, where r is the
+    longest run of one letter in w, since some permutation sends that letter
+    to a.  So for any run <= r the least key is among these keys, and a key
+    below a necklace's own starts with at least as many a's as the
+    necklace.  The identity image comes last, so a filter testing a
+    necklace, which no rotation of its own undercuts, meets a smaller key
+    sooner.  Callers validate w.
     """
     n = len(w)
+    z = "0" * run
+    end = n + run - 1  # matches of z in the doubled image start below n
     for table in _ORDER_TABLES[1:] + _ORDER_TABLES[:1]:
-        t = w.translate(table)
-        tt = t + t
-        i = t.find("0")
+        tt = w.translate(table) * 2
+        i = tt.find(z, 0, end)
         while i != -1:
             yield tt[i : i + n]
-            i = t.find("0", i + 1)
+            i = tt.find(z, i + 1, end)
 
 
 def canonical_word(w: str) -> str:
@@ -220,7 +246,7 @@ def canonical_word(w: str) -> str:
     rotation of a permutation image of the other.
     """
     check_cyclic_word(w)
-    return min(_rotation_keys(w), default="").translate(_FROM_ORDER)
+    return min(_rotation_keys(w, _longest_run(w)), default="").translate(_FROM_ORDER)
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:
@@ -230,7 +256,7 @@ def canonical_witness(w: str) -> tuple[str, Permutation, int]:
     reaches the canonical form, and k the least rotation that does.
     """
     check_cyclic_word(w)
-    key = min(_rotation_keys(w), default="")
+    key = min(_rotation_keys(w, _longest_run(w)), default="")
     for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
         t = w.translate(table)
         k = (t + t).find(key)

@@ -42,13 +42,12 @@ class ClassGraph:
     gtype: str
 
 
-def _assemble(vertex_words, edge_words) -> ClassGraph:
-    """Build the graph value from canonical words and word-level edges."""
+def _assemble(vertex_words, edge_words, is_root_class, has_alternating) -> ClassGraph:
+    """Build the graph value from canonical words, word-level edges and the
+    two vertex flags: some vertex is a root, some vertex is alternating."""
     vertices = tuple(sorted(vertex_words, key=order_key))
     index = {w: i for i, w in enumerate(vertices)}
     edges = tuple(sorted((index[u], index[v], p) for u, v, p in edge_words))
-    is_root_class = any(is_root(w) for w in vertices)
-    has_alternating = any(is_alternating(w) for w in vertices)
     gtype = _classify(len(vertices), edges, is_root_class, has_alternating)
     return ClassGraph(vertices, edges, is_root_class, has_alternating, gtype)
 
@@ -76,7 +75,8 @@ def build_graph(w: str) -> ClassGraph:
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return _assemble(seen, edge_words)
+    is_root_class = any(is_root(w) for w in seen)
+    return _assemble(seen, edge_words, is_root_class, any(is_alternating(w) for w in seen))
 
 
 def _path_order(k, mult):

@@ -2,16 +2,23 @@
 
 Pipeline, per length n:
 
-1. generate every cyclically reduced necklace (least rotation) containing
-   the letter a, with a Duval-style scan over letter codes;
-2. keep the words that are minimal: principal_deltas has no negative entry;
-3. keep the least representative mod rotation and signed permutation (no
-   _rotation_keys key is below the word's own), so each surviving word is
-   one vertex of one class graph;
+1. scan the cyclically reduced necklaces (least rotations) containing the
+   letter a with Duval's recursion over letter codes, carrying the a-type
+   tally and the digraph counts aa, bb, ab, aB down the recursion, and drop
+   each subtree in which no completion can be minimal or least mod
+   signed permutation (see _shard_job);
+2. at each leaf, add the wrap digraph and keep the word if it is minimal:
+   principal_deltas of the counts has no negative entry.  Only these words
+   are built as strings;
+3. keep the least representative mod rotation and signed permutation: no
+   _rotation_keys key starting with the word's leading a-run is below the
+   word's own.  Each surviving word is one vertex of one class graph, and
+   its row carries the vertex's is_root and is_alternating flags, read
+   from the counts;
 4. for each vertex apply the principal automorphisms with length change 0,
    reduce the images to their canonical forms, and union the endpoints;
-5. assemble one ClassGraph per union component and number the classes
-   by ascending (size, least word).
+5. assemble one ClassGraph per union component from the rows' words,
+   edges and flags, and number the classes by ascending (size, least word).
 
 Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.
@@ -29,72 +36,92 @@ from .automorphism import PRINCIPALS, _rotation_keys, apply_cyclic, canonical_wo
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
 from .minimality import principal_deltas
-from .word_core import inverse_letter, letter_tally, order_key, pair_counts, weight
+from .word_core import _DIGRAPH_SLOT, SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _LETTERS = "abAB"
 
-
-def _necklace_scan(n: int, prefix: str, visit) -> None:
-    """Call visit(w) for every cyclically reduced necklace of length n that
-    starts with the given prefix, in ascending order.
-
-    Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2),
-    restricted on the fly: no adjacent inverse pair, and the wrap pair is
-    checked at output.  Killing a prefix with an inverse pair removes only
-    non-reduced completions, so the period bookkeeping is unaffected.
-    """
-    assert 1 <= len(prefix) <= n and prefix[0] == "a"
-    pre = [_CODE[ch] for ch in prefix]
-    forced = len(pre)
-    a = [0] * (n + 1)
-    a[1] = pre[0]
-
-    def rec(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0 and a[n] != (a[1] ^ 2):
-                visit("".join(_LETTERS[a[i]] for i in range(1, n + 1)))
-            return
-        prev_inv = a[t - 1] ^ 2
-        lo = a[t - p]
-        if t <= forced:
-            v = pre[t - 1]
-            if v >= lo and v != prev_inv:
-                a[t] = v
-                rec(t + 1, p if v == lo else t)
-            return
-        if lo != prev_inv:
-            a[t] = lo
-            rec(t + 1, p)
-        for v in range(lo + 1, 4):
-            if v != prev_inv:
-                a[t] = v
-                rec(t + 1, t)
-
-    rec(2, 1)
+# Count increments (a-type letter, aa, bb, ab, aB) for appending code v after
+# code u, indexed 4 * u + v; the digraph slots are word_core._DIGRAPH_SLOT's.
+_STEP = tuple(
+    (1 - (v & 1), *[int(_DIGRAPH_SLOT.get(x + y) == s) for s in range(4)])
+    for x in _LETTERS
+    for v, y in enumerate(_LETTERS)
+)
 
 
 def _shard_job(args) -> list:
-    """One shard: (vertex word, [(principal index, canonical image), ...]) rows."""
+    """One shard: a (vertex word, [(principal index, canonical image), ...],
+    is_root, is_alternating) row for every vertex of length n that starts
+    with the given prefix, in ascending order.
+
+    Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
+    visits the cyclically reduced necklaces: no adjacent inverse pair, and
+    the wrap pair is checked at the leaf.  Killing a prefix with an inverse
+    pair removes only non-reduced completions, so the period bookkeeping is
+    unaffected.  The recursion carries the a-type tally and the digraph
+    counts aa, bb, ab, aB of the letters placed, and two necessary
+    conditions drop a subtree early:
+
+    - tally + remaining < 2 max(ab, aB) for either generator: the counts
+      only grow, so principal_deltas goes negative on every completion;
+    - a run of one letter longer than the leading a-run (cap): the image
+      sending that letter to a has a smaller rotation.
+    """
     n, prefix = args
+    pre = [_CODE[ch] for ch in prefix]
+    forced = len(pre)
+    a = [0] * (n + 1)
+    a[1] = first = pre[0]
     rows = []
 
-    def visit(w: str) -> None:
-        # pair_counts stays a module-global call: perfbench/layertrace.py counts necklaces there
-        deltas = principal_deltas(*letter_tally(w), pair_counts(w))
+    def leaf(tally, aa, bb, ab, aB, cap):
+        _, daa, dbb, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
+        pc = SubwordCounts(aa + daa, bb + dbb, ab + dab, aB + daB)
+        deltas = principal_deltas(tally, n - tally, pc)
         if min(deltas) < 0:
             return  # not minimal
+        w = "".join([_LETTERS[c] for c in a[1:]])
         tw = order_key(w)
-        if not all(key >= tw for key in _rotation_keys(w)):
+        if not all(key >= tw for key in _rotation_keys(w, cap)):
             return  # a rotation of a permutation image is smaller
         images = [
             (p, canonical_word(apply_cyclic(phi, w)))
             for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1)
             if delta == 0
         ]
-        rows.append((w, images))
+        # a single letter is its own cyclic neighbour: neither root nor alternating
+        is_root = n > 1 and abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb
+        rows.append((w, images, is_root, n > 1 and pc.aa == pc.bb == 0))
 
-    _necklace_scan(n, prefix, visit)
+    def rec(t, p, tally, aa, bb, ab, aB, run, cap):
+        # a[1..t-1] placed; run is the length of its last run, cap that of its
+        # leading a-run, or n while every letter placed is an a
+        if t > n:
+            if n % p == 0 and a[n] != first ^ 2:
+                leaf(tally, aa, bb, ab, aB, cap)
+            return
+        prev = a[t - 1]
+        lo = a[t - p]
+        rem = n - t
+        for v in (pre[t - 1],) if t <= forced else range(lo, 4):
+            if v < lo or v == prev ^ 2:
+                continue
+            run_v = run + 1 if v == prev else 1
+            if run_v > cap:
+                continue
+            dt, daa, dbb, dab, daB = _STEP[4 * prev + v]
+            tally_v = tally + dt
+            ab_v = ab + dab
+            aB_v = aB + daB
+            need = 2 * (ab_v if ab_v > aB_v else aB_v)
+            if tally_v + rem < need or t - tally_v + rem < need:
+                continue
+            a[t] = v
+            cap_v = t - 1 if cap == n and v else cap
+            rec(t + 1, p if v == lo else t, tally_v, aa + daa, bb + dbb, ab_v, aB_v, run_v, cap_v)
+
+    rec(2, 1, 1 - (first & 1), 0, 0, 0, 0, 1, n)
     return rows
 
 
@@ -111,11 +138,19 @@ def _shard_prefixes(n: int) -> list:
     return prefixes
 
 
+def _check_size(n, workers) -> None:
+    """Validate a word length and a worker count."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+
+
 def _minimal_rows(n: int, workers: int = 1) -> list:
-    """All vertex rows for length n, in ascending vertex order."""
-    assert n >= 0 and workers >= 1
+    """All _shard_job rows for length n, in ascending vertex order."""
+    _check_size(n, workers)
     if n == 0:
-        return [("", [(p, "") for p in (1, 2, 3, 4)])]
+        return [("", [(p, "") for p in (1, 2, 3, 4)], True, True)]
     jobs = [(n, prefix) for prefix in _shard_prefixes(n)]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -128,7 +163,7 @@ def _minimal_rows(n: int, workers: int = 1) -> list:
 def enumerate_minimal(n: int, workers: int = 1) -> list:
     """Every minimal word of length n that is least in its class mod
     rotation and signed permutation, in ascending order."""
-    return [w for w, _ in _minimal_rows(n, workers)]
+    return [row[0] for row in _minimal_rows(n, workers)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +186,7 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
     """All classes at length n as ClassRecord values, numbered n.1, n.2, ...
     ascending by (size, least vertex)."""
     rows = _minimal_rows(n, workers)
-    index = {w: i for i, (w, _) in enumerate(rows)}
+    index = {row[0]: i for i, row in enumerate(rows)}
     parent = list(range(len(rows)))
 
     def find(x: int) -> int:
@@ -160,7 +195,7 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
             x = parent[x]
         return x
 
-    for i, (w, images) in enumerate(rows):
+    for i, (w, images, _, _) in enumerate(rows):
         for _, c in images:
             j = index.get(c)
             if j is None:
@@ -179,7 +214,9 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
     for group in members.values():
         vertex_words = [rows[i][0] for i in group]
         edge_words = [(rows[i][0], c, p) for i in group for p, c in rows[i][1]]
-        graphs.append(_assemble(vertex_words, edge_words))
+        is_root_class = any(rows[i][2] for i in group)
+        has_alternating = any(rows[i][3] for i in group)
+        graphs.append(_assemble(vertex_words, edge_words, is_root_class, has_alternating))
     graphs.sort(key=lambda g: (len(g.vertices), order_key(g.vertices[0])))
 
     return [
@@ -204,8 +241,11 @@ def census(lengths, workers: int = 1, sink=None) -> CensusTables:
 
     sink, when given, is called as sink(n, records) after each length.
     """
+    lengths = sorted(lengths)
+    for n in lengths:
+        _check_size(n, workers)
     tables = CensusTables({}, {g: {} for g in ("P1", "P2", "P3")}, {}, {}, {})
-    for n in sorted(lengths):
+    for n in lengths:
         records = enumerate_classes(n, workers)
         types = Counter()
         stats = Counter()

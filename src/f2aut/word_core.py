@@ -143,8 +143,9 @@ def subword_count(w: str, u: str) -> int:
     positions range over the len(w) cyclic positions.  By convention the
     count is 0 whenever len(u) > len(w).
     """
+    if not u or not is_reduced(check_word(u)):
+        raise ValueError(f"pattern {u!r} must be a nonempty reduced word")
     k, n = len(u), len(w)
-    assert k >= 1 and is_reduced(u), "pattern must be a nonempty reduced word"
     if k > n:
         return 0
     ext = w + w[: k - 1]
@@ -211,8 +212,8 @@ def m_value(w: str, x: str, y: str):
     Returns math.inf when no such i exists; the scan stops at i = len(w)
     since longer patterns cannot occur.
     """
-    assert x in _INV and y in _INV
-    assert y not in (x, _INV[x]), "y must not commute with x"
+    if x not in _INV or y not in _INV or y in (x, _INV[x]):
+        raise ValueError(f"x={x!r}, y={y!r}: both must be letters, y not x or its inverse")
     n = len(w)
     for i in range(n + 1):
         u = y + x * i + y

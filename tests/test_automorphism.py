@@ -216,6 +216,23 @@ def test_canonical_forms_on_long_words(w):
     assert canonical_witness(w) == brute_force_witness(w)
 
 
+@st.composite
+def run_heavy_words(draw):
+    """Cyclic words with long runs: x^k u with k up to 300, or a power of a short word."""
+    if draw(st.booleans()):
+        x = draw(st.sampled_from("abAB"))
+        w = x * draw(st.integers(1, 300)) + draw(reduced_words(max_size=12))
+        return orc.o_cyclic_core(w)
+    u = draw(cyclic_reduced_words(min_size=1, max_size=6))
+    return u * draw(st.integers(1, 300 // len(u)))
+
+
+@given(run_heavy_words())
+def test_canonical_forms_on_run_heavy_words(w):
+    assert canonical_word(w) == orc.o_canonical(w)
+    assert canonical_witness(w) == brute_force_witness(w)
+
+
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))
 def test_canonical_witness_tie_break_on_periodic_words(w):
     assert canonical_witness(w) == brute_force_witness(w)

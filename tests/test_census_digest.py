@@ -1,13 +1,19 @@
 """Pinned census output: byte-identical across worker counts and refactors."""
 
 import hashlib
+import json
 
 import pytest
 
+from f2aut.class_graph import to_dict
 from f2aut.cli import main
+from f2aut.enumeration import enumerate_classes
 
 # sha256 of the sorted --out files followed by stdout, for the command below
 CENSUS_0_11_DIGEST = "79e1757ddac7ee8cafe1829384c6af4cf44f03b5f2bc3ff861c79349d61178de"
+
+# sha256 of the classes_13.jsonl lines, {"id", **to_dict}, of enumerate_classes(13, workers=2)
+CLASSES_13_DIGEST = "9a808a67a7b28f33da541e031547c111bcafdf00b7fd87e2a6c31f62190769bc"
 
 
 def census_digest(tmp_path, capsys, workers: int) -> str:
@@ -38,3 +44,10 @@ def census_digest(tmp_path, capsys, workers: int) -> str:
 @pytest.mark.parametrize("workers", (1, 2))
 def test_census_digest_is_pinned(tmp_path, capsys, workers):
     assert census_digest(tmp_path, capsys, workers) == CENSUS_0_11_DIGEST
+
+
+def test_length_13_classes_are_pinned():
+    h = hashlib.sha256()
+    for rec in enumerate_classes(13, workers=2):
+        h.update((json.dumps({"id": rec.class_id, **to_dict(rec.graph)}) + "\n").encode())
+    assert h.hexdigest() == CLASSES_13_DIGEST

@@ -32,6 +32,18 @@ BAD_CALLS = (
     'minimize("Aa")',
     'canonical_word("abA")',
     'canonical_witness("abx")',
+    'enumerate_classes(-1)',
+    'enumerate_classes(2, workers=0)',
+    'enumerate_minimal(3, workers=0)',
+    'enumerate_minimal(-2)',
+    'census([2, -1])',
+    'census([3], workers=0)',
+    'subword_count("abab", "")',
+    'subword_count("abab", "aA")',
+    'subword_count("abab", "ax")',
+    'm_value("aab", "a", "a")',
+    'm_value("aab", "a", "A")',
+    'm_value("aab", "x", "b")',
 )
 
 SCRIPT = """

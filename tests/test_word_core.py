@@ -158,9 +158,9 @@ def test_subword_count_edge_rules():
     assert subword_count("a", "aa") == 0  # pattern longer than the word
     assert subword_count("aa", "aa") == 2  # cyclic positions, overlapping
     assert subword_count("ab", "ab") == 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         subword_count("ab", "")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         subword_count("ab", "aA")
 
 
@@ -238,9 +238,9 @@ def test_m_value_examples():
     assert m_value("aabab", "a", "b") == 1
     assert m_value("aaba", "a", "b") == math.inf  # only one b-type letter
     assert m_value("aaaa", "a", "b") == math.inf
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         m_value("ab", "a", "a")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         m_value("ab", "a", "A")
 
 
