@@ -7,6 +7,10 @@ pointing at the canonical form of the image.  The resulting multigraphs
 fall into exactly ten shapes: three path-like families P1, P2, P3 for
 non-root classes and seven bounded shapes R1..R7 for root classes.
 
+A graph is assembled from vertex rows (minimality.vertex_row): build_graph
+takes the rows of minimality.level_closure, the enumeration those of one
+union-find component.
+
 classify matches those shapes structurally; anything else raises
 TheoremViolation, which no reachable input should trigger.
 """
@@ -17,12 +21,11 @@ import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .automorphism import PRINCIPALS, apply_cyclic, canonical_word
-from .minimality import is_minimal, is_root
+from .automorphism import canonical_word
+from .minimality import is_minimal, level_closure
 from .word_core import (
     TheoremViolation,
     cyclic_reduce,
-    free_reduce,
     is_alternating,
     order_key,
     weight,
@@ -42,41 +45,23 @@ class ClassGraph:
     gtype: str
 
 
-def _assemble(vertex_words, edge_words, is_root_class, has_alternating) -> ClassGraph:
-    """Build the graph value from canonical words, word-level edges and the
-    two vertex flags: some vertex is a root, some vertex is alternating."""
-    vertices = tuple(sorted(vertex_words, key=order_key))
+def _assemble(rows) -> ClassGraph:
+    """Build the graph value from the vertex rows of one class."""
+    vertices = tuple(sorted((row[0] for row in rows), key=order_key))
     index = {w: i for i, w in enumerate(vertices)}
-    edges = tuple(sorted((index[u], index[v], p) for u, v, p in edge_words))
+    edges = tuple(sorted((index[w], index[c], p) for w, images, _, _ in rows for p, c in images))
+    is_root_class = any(row[2] for row in rows)
+    has_alternating = any(row[3] for row in rows)
     gtype = _classify(len(vertices), edges, is_root_class, has_alternating)
     return ClassGraph(vertices, edges, is_root_class, has_alternating, gtype)
 
 
 def build_graph(w: str) -> ClassGraph:
-    """Exhaustive closure from the canonical form of a minimal word."""
-    w = cyclic_reduce(free_reduce(w))[0]
+    """The class graph of a minimal word: the level closure of its canonical form."""
+    w = cyclic_reduce(w)[0]
     if not is_minimal(w):
         raise ValueError(f"build_graph requires a minimal word, got {w!r}")
-    start = canonical_word(w)
-    seen = {start}
-    queue = [start]
-    edge_words = []
-    while queue:
-        u = queue.pop()
-        n = len(u)
-        for p, phi in enumerate(PRINCIPALS, start=1):
-            img = apply_cyclic(phi, u)
-            if len(img) < n:
-                raise TheoremViolation(f"principal {p} shortens the minimal word {u!r}")
-            if len(img) > n:
-                continue
-            c = canonical_word(img)
-            edge_words.append((u, c, p))
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    is_root_class = any(is_root(w) for w in seen)
-    return _assemble(seen, edge_words, is_root_class, any(is_alternating(w) for w in seen))
+    return _assemble(level_closure(canonical_word(w)))
 
 
 def _path_order(k, mult):

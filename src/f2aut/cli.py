@@ -39,7 +39,6 @@ from .minimality import (
 from .word_core import (
     check_word,
     cyclic_reduce,
-    free_reduce,
     letter_tally,
     pair_counts,
     weight,
@@ -50,7 +49,7 @@ PRINCIPAL_NAMES = ("W[a,b]", "W[a,B]", "W[b,a]", "W[b,A]")
 
 def _core(word: str) -> str:
     check_word(word)
-    return cyclic_reduce(free_reduce(word))[0]
+    return cyclic_reduce(word)[0]
 
 
 def _emit(args, payload: dict, text_lines) -> None:

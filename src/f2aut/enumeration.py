@@ -12,13 +12,12 @@ Pipeline, per length n:
    are built as strings;
 3. keep the least representative mod rotation and signed permutation: no
    _rotation_keys key starting with the word's leading a-run is below the
-   word's own.  Each surviving word is one vertex of one class graph, and
-   its row carries the vertex's is_root and is_alternating flags, read
-   from the counts;
-4. for each vertex apply the principal automorphisms with length change 0,
-   reduce the images to their canonical forms, and union the endpoints;
-5. assemble one ClassGraph per union component from the rows' words,
-   edges and flags, and number the classes by ascending (size, least word).
+   word's own.  Each surviving word is one vertex of one class graph;
+4. minimality.vertex_row applies the principal automorphisms with length
+   change 0 and reduces the images to their canonical forms; union each
+   vertex with its images;
+5. assemble one ClassGraph per union component from its rows, and number
+   the classes by ascending (size, least word).
 
 Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.
@@ -35,14 +34,19 @@ from fractions import Fraction
 from .automorphism import PRINCIPALS, _rotation_keys, apply_cyclic, canonical_word
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
-from .minimality import principal_deltas
-from .word_core import _DIGRAPH_SLOT, SubwordCounts, inverse_letter, order_key, weight
+from .minimality import principal_deltas, vertex_row
+from .word_core import SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _LETTERS = "abAB"
 
+# The SubwordCounts field each reduced digraph counts toward.  The other four
+# (ba, AB, Ba, Ab) are occurrences of the mirror patterns, which have equal
+# cyclic counts but are not occurrences of the tracked ones.
+_DIGRAPH_SLOT = {"aa": 0, "AA": 0, "bb": 1, "BB": 1, "ab": 2, "BA": 2, "aB": 3, "bA": 3}
+
 # Count increments (a-type letter, aa, bb, ab, aB) for appending code v after
-# code u, indexed 4 * u + v; the digraph slots are word_core._DIGRAPH_SLOT's.
+# code u, indexed 4 * u + v.
 _STEP = tuple(
     (1 - (v & 1), *[int(_DIGRAPH_SLOT.get(x + y) == s) for s in range(4)])
     for x in _LETTERS
@@ -51,8 +55,7 @@ _STEP = tuple(
 
 
 def _shard_job(args) -> list:
-    """One shard: a (vertex word, [(principal index, canonical image), ...],
-    is_root, is_alternating) row for every vertex of length n that starts
+    """One shard: the vertex_row of every vertex of length n that starts
     with the given prefix, in ascending order.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
@@ -85,14 +88,7 @@ def _shard_job(args) -> list:
         tw = order_key(w)
         if not all(key >= tw for key in _rotation_keys(w, cap)):
             return  # a rotation of a permutation image is smaller
-        images = [
-            (p, canonical_word(apply_cyclic(phi, w)))
-            for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1)
-            if delta == 0
-        ]
-        # a single letter is its own cyclic neighbour: neither root nor alternating
-        is_root = n > 1 and abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb
-        rows.append((w, images, is_root, n > 1 and pc.aa == pc.bb == 0))
+        rows.append(vertex_row(w, pc, deltas))
 
     def rec(t, p, tally, aa, bb, ab, aB, run, cap):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
@@ -150,7 +146,7 @@ def _minimal_rows(n: int, workers: int = 1) -> list:
     """All _shard_job rows for length n, in ascending vertex order."""
     _check_size(n, workers)
     if n == 0:
-        return [("", [(p, "") for p in (1, 2, 3, 4)], True, True)]
+        return [vertex_row("", SubwordCounts(0, 0, 0, 0), (0, 0, 0, 0))]
     jobs = [(n, prefix) for prefix in _shard_prefixes(n)]
     if workers > 1 and len(jobs) > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -210,13 +206,7 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
     for i in range(len(rows)):
         members[find(i)].append(i)
 
-    graphs = []
-    for group in members.values():
-        vertex_words = [rows[i][0] for i in group]
-        edge_words = [(rows[i][0], c, p) for i in group for p, c in rows[i][1]]
-        is_root_class = any(rows[i][2] for i in group)
-        has_alternating = any(rows[i][3] for i in group)
-        graphs.append(_assemble(vertex_words, edge_words, is_root_class, has_alternating))
+    graphs = [_assemble([rows[i] for i in group]) for group in members.values()]
     graphs.sort(key=lambda g: (len(g.vertices), order_key(g.vertices[0])))
 
     return [

@@ -11,6 +11,10 @@ pattern counts:
 and ({y}, x) preserves the cyclic length of w (is "level" on w) exactly
 when (y x^-1)_w = (yx)_w + (yy)_w, for len(w) >= 2.
 
+vertex_row is the one map from a vertex of a class graph to its level
+edges, and level_closure collects the rows of one class; the enumeration,
+build_graph and are_conjugate all read class graphs from these rows.
+
 are_conjugate decides whether two words lie in the same automorphic
 conjugacy class and can produce a replayable witness: a token sequence
 (one-letter automorphisms, signed permutations, rotations) that transforms
@@ -28,6 +32,7 @@ from .automorphism import (
     Permutation,
     apply_cyclic,
     canonical_witness,
+    canonical_word,
     principal_index,
     principal_of,
 )
@@ -35,11 +40,11 @@ from .word_core import (
     TheoremViolation,
     check_cyclic_word,
     cyclic_reduce,
-    free_reduce,
     is_alternating,
     letter_tally,
     pair_counts,
     rotate,
+    vertex_flags,
 )
 
 
@@ -74,17 +79,9 @@ def is_minimal(w: str) -> bool:
 
 
 def is_root(w: str) -> bool:
-    """The boundary case of minimality: |(ab) - (a b^-1)| = (aa) = (bb).
-
-    Length-1 words are excluded: a single letter is cyclically adjacent to
-    itself, and treating it as a root would break the divisibility facts
-    that hold for every other root class.
-    """
+    """The boundary case of minimality (see vertex_flags); never a single letter."""
     check_cyclic_word(w)
-    if len(w) == 1:
-        return False
-    pc = pair_counts(w)
-    return abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb
+    return vertex_flags(len(w), pair_counts(w))[0]
 
 
 def is_alternating_minimal(w: str) -> bool:
@@ -140,6 +137,43 @@ def level_profile(w: str) -> LevelProfile:
     return LevelProfile(flags, True, is_root(w), is_alternating(w))
 
 
+# --- class graph rows ----------------------------------------------------
+
+def vertex_row(w: str, pc, deltas) -> tuple:
+    """(w, [(principal index, canonical image), ...], is_root, is_alternating)
+    for a canonical minimal word w with pair_counts pc and principal_deltas
+    deltas: one entry per principal with length change 0, in PRINCIPALS order.
+    """
+    n = len(w)
+    images = []
+    for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1):
+        if delta == 0:
+            img = apply_cyclic(phi, w)
+            if len(img) != n:
+                raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
+            images.append((p, canonical_word(img)))
+    return (w, images, *vertex_flags(n, pc))
+
+
+def level_closure(start: str) -> list:
+    """The vertex_row of every vertex of the class graph of start, a
+    canonical minimal word, in breadth-first discovery order."""
+    seen = {start}
+    queue = [start]
+    rows = []
+    for u in queue:
+        pc = pair_counts(u)
+        deltas = principal_deltas(*letter_tally(u), pc)
+        if min(deltas) < 0:
+            raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
+        rows.append(vertex_row(u, pc, deltas))
+        for _, c in rows[-1][1]:
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return rows
+
+
 # --- conjugacy decision with replayable witness -------------------------
 
 def format_token(item) -> str:
@@ -175,7 +209,7 @@ def apply_token(item, w: str) -> str:
 
 def replay_witness(w: str, tokens) -> str:
     """Apply a witness to cyclic_reduce(w); each step preserves the class."""
-    cur = cyclic_reduce(free_reduce(w))[0]
+    cur = cyclic_reduce(w)[0]
     for tok in tokens:
         cur = apply_token(parse_token(tok) if isinstance(tok, str) else tok, cur)
     return cur
@@ -189,43 +223,6 @@ def _rotation_aligning(cur: str, target: str) -> int:
     return k
 
 
-def _bfs_path(start: str, target: str):
-    """Level-edge path between canonical minimal words, as replay instructions.
-
-    Returns a list of (phi, pi, k) steps or None when the classes differ:
-    from a canonical vertex, apply phi, then pi, then rotate by k to land
-    on the next canonical vertex.
-    """
-    if start == target:
-        return []
-    parents = {start: None}
-    queue = [start]
-    while queue:
-        next_queue = []
-        for u in queue:
-            n = len(u)
-            for phi in PRINCIPALS:
-                img = apply_cyclic(phi, u)
-                if len(img) != n:
-                    continue
-                canon, pi, k = canonical_witness(img)
-                if canon in parents:
-                    continue
-                parents[canon] = (u, phi, pi, k)
-                if canon == target:
-                    steps = []
-                    cur = canon
-                    while parents[cur] is not None:
-                        prev, phi, pi, k = parents[cur]
-                        steps.append((phi, pi, k))
-                        cur = prev
-                    steps.reverse()
-                    return steps
-                next_queue.append(canon)
-        queue = next_queue
-    return None
-
-
 def are_conjugate(w: str, v: str, witness: bool = True):
     """Decide whether w and v lie in the same automorphic conjugacy class.
 
@@ -234,8 +231,8 @@ def are_conjugate(w: str, v: str, witness: bool = True):
     cyclic_reduce(v) exactly, or None when witness=False or the words are
     not conjugate.
     """
-    cw = cyclic_reduce(free_reduce(w))[0]
-    cv = cyclic_reduce(free_reduce(v))[0]
+    cw = cyclic_reduce(w)[0]
+    cv = cyclic_reduce(v)[0]
     w_states, w_trace = _minimize_states(cw)
     v_states, v_trace = _minimize_states(cv)
     mw, mv = w_states[-1], v_states[-1]
@@ -244,11 +241,20 @@ def are_conjugate(w: str, v: str, witness: bool = True):
 
     canon_w, pi_w, k_w = canonical_witness(mw)
     canon_v, pi_v, k_v = canonical_witness(mv)
-    path = _bfs_path(canon_w, canon_v)
-    if path is None:
+    # BFS parents: the first row, in discovery order, with an edge to a vertex
+    parents = {canon_w: None}
+    for u, images, _, _ in level_closure(canon_w):
+        for p, c in images:
+            parents.setdefault(c, (u, p))
+    if canon_v not in parents:
         return False, None
     if not witness:
         return True, None
+    path = []
+    c = canon_v
+    while parents[c] is not None:
+        c, p = parents[c]
+        path.append(p)
 
     tokens = []
     cur = cw
@@ -262,8 +268,9 @@ def are_conjugate(w: str, v: str, witness: bool = True):
         emit(phi)
     emit(pi_w)
     emit(k_w)
-    for phi, pi, k in path:
-        emit(phi)
+    for p in reversed(path):  # from a canonical vertex: principal, permutation, rotation
+        emit(PRINCIPALS[p - 1])
+        _, pi, k = canonical_witness(cur)
         emit(pi)
         emit(k)
     # invert the canonicalization of mv, then walk its reduction backwards

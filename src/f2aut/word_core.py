@@ -79,7 +79,7 @@ def free_reduce(s: str) -> str:
 
 
 def is_reduced(w: str) -> bool:
-    return all(w[i + 1] != _INV[w[i]] for i in range(len(w) - 1))
+    return not ("aA" in w or "Aa" in w or "bB" in w or "Bb" in w)
 
 
 def is_cyclic_word(w: str) -> bool:
@@ -156,30 +156,24 @@ def subword_count(w: str, u: str) -> int:
     return total
 
 
-# Which of the four tracked patterns each reduced 2-letter factor belongs to.
-# The four unlisted reduced digraphs (ba, AB, Ba, Ab) belong to the mirror
-# patterns (ba) and (b a^-1), which equal (ab) and (a b^-1) as cyclic counts
-# but are not occurrences of them, so a digraph pass ignores them.
-_DIGRAPH_SLOT = {
-    "aa": 0, "AA": 0,
-    "bb": 1, "BB": 1,
-    "ab": 2, "BA": 2,
-    "aB": 3, "bA": 3,
-}
-
-
 def pair_counts(w: str) -> SubwordCounts:
-    """The four 2-letter pattern counts of a cyclic word in one pass."""
+    """The four 2-letter pattern counts of a cyclic word.
+
+    Digraphs of distinct letters cannot overlap, so str.count finds ab, BA,
+    aB and bA in w + w[0].  A run of a-type letters in a cyclic word is one
+    letter repeated: an a-run ends in ab or aB, an A-run starts with bA or
+    BA.  So the a-type runs number r = (ab) + (a b^-1), and (aa) = tally - r;
+    the b-type runs alternate with them, so (bb) = b tally - r.
+    """
     n = len(w)
     if n < 2:
         return SubwordCounts(0, 0, 0, 0)
-    counts = [0, 0, 0, 0]
     ext = w + w[0]
-    for i in range(n):
-        slot = _DIGRAPH_SLOT.get(ext[i : i + 2])
-        if slot is not None:
-            counts[slot] += 1
-    return SubwordCounts(*counts)
+    ab = ext.count("ab") + ext.count("BA")
+    ab_bar = ext.count("aB") + ext.count("bA")
+    a_count, b_count = letter_tally(w)
+    runs = ab + ab_bar
+    return SubwordCounts(a_count - runs, b_count - runs, ab, ab_bar)
 
 
 def letter_tally(w: str) -> tuple[int, int]:
@@ -194,16 +188,23 @@ def weight(w: str) -> int:
     return min(a_count, b_count)
 
 
-def is_alternating(w: str) -> bool:
-    """True when no generator square occurs cyclically.
+def vertex_flags(n: int, pc) -> tuple[bool, bool]:
+    """(is_root, is_alternating) of a cyclic word of length n with pair_counts pc.
 
-    A single letter is cyclically adjacent to itself, so length-1 words are
-    not alternating even though their literal pattern counts vanish.
+    A root is the boundary case of minimality, |(ab) - (a b^-1)| = (aa) = (bb);
+    an alternating word has no generator square.  A single letter is
+    cyclically adjacent to itself, so length-1 words are neither, even
+    though their literal pattern counts vanish: treating them as roots would
+    break the divisibility facts that hold for every other root class.
     """
-    if len(w) == 1:
-        return False
-    pc = pair_counts(w)
-    return pc.aa == 0 and pc.bb == 0
+    if n == 1:
+        return False, False
+    return abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb, pc.aa == pc.bb == 0
+
+
+def is_alternating(w: str) -> bool:
+    """True when no generator square occurs cyclically (see vertex_flags)."""
+    return vertex_flags(len(w), pair_counts(w))[1]
 
 
 def m_value(w: str, x: str, y: str):

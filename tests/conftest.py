@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import oracles as orc
+
 DATA_DIR = Path(__file__).parent / "data"
 
 settings.register_profile(
@@ -51,6 +53,17 @@ def cyclic_reduced_words(draw, min_size=0, max_size=12):
         )
     )
     return "".join(letters) + last
+
+
+@st.composite
+def run_heavy_words(draw):
+    """Cyclic words with long runs: x^k u with k up to 300, or a power of a short word."""
+    if draw(st.booleans()):
+        x = draw(st.sampled_from("abAB"))
+        w = x * draw(st.integers(1, 300)) + draw(reduced_words(max_size=12))
+        return orc.o_cyclic_core(w)
+    u = draw(cyclic_reduced_words(min_size=1, max_size=6))
+    return u * draw(st.integers(1, 300 // len(u)))
 
 
 def raw_words(max_size=16):

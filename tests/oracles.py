@@ -137,6 +137,26 @@ _ONE_LETTER_TABLES = tuple(
 )
 
 
+# the principal automorphisms ({y}, x), in principal index order 1..4
+PRINCIPAL_MAPS = tuple(
+    one_letter_map(y, x) for y, x in (("a", "b"), ("a", "B"), ("b", "a"), ("b", "A"))
+)
+
+
+def o_vertex_row(w: str) -> tuple:
+    """(w, [(principal index, canonical image) for each level principal],
+    is_root, is_alternating), from the definitions; a single letter is
+    neither a root nor alternating."""
+    images = []
+    for p, d in enumerate(PRINCIPAL_MAPS, start=1):
+        image = o_apply_cyclic(d, w)
+        if len(image) == len(w):
+            images.append((p, o_canonical(image)))
+    aa, bb, ab, ab_bar = (o_count(w, u) for u in ("aa", "bb", "ab", "aB"))
+    single = len(w) == 1
+    return w, images, not single and abs(ab - ab_bar) == aa == bb, not single and aa == bb == 0
+
+
 def o_is_minimal(w: str) -> bool:
     """No one-letter automorphism shortens the cyclic word; the definition."""
     n = len(w)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from conftest import cyclic_reduced_words, reduced_words
+from conftest import cyclic_reduced_words, reduced_words, run_heavy_words
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -214,17 +214,6 @@ def brute_force_witness(w):
 def test_canonical_forms_on_long_words(w):
     assert canonical_word(w) == orc.o_canonical(w)
     assert canonical_witness(w) == brute_force_witness(w)
-
-
-@st.composite
-def run_heavy_words(draw):
-    """Cyclic words with long runs: x^k u with k up to 300, or a power of a short word."""
-    if draw(st.booleans()):
-        x = draw(st.sampled_from("abAB"))
-        w = x * draw(st.integers(1, 300)) + draw(reduced_words(max_size=12))
-        return orc.o_cyclic_core(w)
-    u = draw(cyclic_reduced_words(min_size=1, max_size=6))
-    return u * draw(st.integers(1, 300 // len(u)))
 
 
 @given(run_heavy_words())

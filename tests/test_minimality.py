@@ -1,5 +1,8 @@
 """Minimality, level structure, greedy reduction, and the conjugacy decision."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,9 @@ from f2aut.automorphism import (
     PRINCIPALS,
     apply_cyclic,
     apply_whitehead,
+    canonical_word,
 )
+from f2aut.class_graph import build_graph, to_dict
 from f2aut.minimality import (
     LevelProfile,
     _rotation_aligning,
@@ -26,16 +31,19 @@ from f2aut.minimality import (
     is_minimal,
     is_root,
     is_alternating_minimal,
+    level_closure,
     level_profile,
     minimize,
     parse_token,
     replay_witness,
+    vertex_row,
 )
 from f2aut.word_core import (
     TheoremViolation,
     cyclic_reduce,
     free_reduce,
     invert,
+    pair_counts,
     rotate,
     subword_count,
 )
@@ -150,6 +158,32 @@ def test_level_profile_matches_pointwise_predicates(w):
     assert prof.is_root == is_root(w)
 
 
+@given(cyclic_reduced_words(max_size=10))
+def test_level_closure_rows_match_oracle_in_discovery_order(w):
+    start = canonical_word(minimize(w)[0])
+    rows = level_closure(start)
+    for row in rows:
+        assert row == orc.o_vertex_row(row[0])
+    # breadth-first: a vertex is listed where it is first met as an image
+    order = [start]
+    for _, images, _, _ in rows:
+        for _, c in images:
+            if c not in order:
+                order.append(c)
+    assert order == [row[0] for row in rows]
+
+
+def test_vertex_row_rejects_a_wrong_length_change():
+    # ({a}, b) lengthens aa by 2; a delta of 0 claimed for it must not pass
+    with pytest.raises(TheoremViolation):
+        vertex_row("aa", pair_counts("aa"), (0, 2, 0, 0))
+
+
+def test_level_closure_rejects_a_shortening_principal():
+    with pytest.raises(TheoremViolation):
+        level_closure("abab")
+
+
 def test_token_round_trips():
     for phi in ALL_ONE_LETTER:
         assert parse_token(format_token(phi)) == phi
@@ -256,3 +290,28 @@ def test_theorem_violation_is_one_class():
     from f2aut import class_graph
 
     assert f2aut.TheoremViolation is class_graph.TheoremViolation is TheoremViolation
+
+
+# Fixed inputs whose witnesses and class graphs are pinned: vertices of long
+# path classes (a^(n-6) baBabb and a^(n-6) bbABAb lie in one class), both
+# directions, plus three short pairs, one of them not conjugate.
+PINNED_PAIRS = [
+    pair
+    for n in range(8, 40)
+    for w, v in [("a" * (n - 6) + "baBabb", "a" * (n - 6) + "bbABAb")]
+    for pair in ((w, v), (v, w))
+] + [("abab", "aa"), ("aab", "a"), ("aabb", "abAB")]
+PINNED_GRAPH_WORDS = [w for w, _ in PINNED_PAIRS[:64]] + ["aa", "a", "aabb", "abAB"]
+
+# sha256 of the JSON list of are_conjugate results, then of to_dict graphs, below
+WITNESS_AND_GRAPH_DIGEST = "e658dd124eaf136c5a676ba17d72f424be13b0300a17b5bd03e0d6cf93d1d3cc"
+
+
+def test_witnesses_and_graphs_are_pinned():
+    h = hashlib.sha256()
+    for w, v in PINNED_PAIRS:
+        flag, tokens = are_conjugate(w, v)
+        h.update((json.dumps([flag, tokens]) + "\n").encode())
+    for w in PINNED_GRAPH_WORDS:
+        h.update((json.dumps(to_dict(build_graph(w))) + "\n").encode())
+    assert h.hexdigest() == WITNESS_AND_GRAPH_DIGEST

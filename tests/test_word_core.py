@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles as orc
-from conftest import cyclic_reduced_words, raw_words, reduced_words
+from conftest import cyclic_reduced_words, raw_words, reduced_words, run_heavy_words
 from f2aut.word_core import (
     LETTERS,
     SubwordCounts,
@@ -191,9 +191,17 @@ def test_pair_counts_examples():
     assert pair_counts("a") == SubwordCounts(0, 0, 0, 0)
     assert pair_counts("aaBBAbaBa") == SubwordCounts(2, 1, 1, 2)
     assert pair_counts("abAB") == SubwordCounts(0, 0, 1, 1)
+    assert pair_counts("aaaa") == SubwordCounts(4, 0, 0, 0)
+    assert pair_counts("B" * 7) == SubwordCounts(0, 7, 0, 0)
 
 
-@given(cyclic_reduced_words(min_size=2))
+# pair_counts derives (aa) and (bb) from the run structure, so run-heavy words too
+pair_count_words = st.one_of(
+    cyclic_reduced_words(min_size=2), run_heavy_words().filter(lambda w: len(w) >= 2)
+)
+
+
+@given(pair_count_words)
 def test_pair_counts_match_subword_count(w):
     pc = pair_counts(w)
     assert pc.aa == subword_count(w, "aa")
@@ -202,7 +210,7 @@ def test_pair_counts_match_subword_count(w):
     assert pc.ab_bar == subword_count(w, "aB")
 
 
-@given(cyclic_reduced_words(min_size=2))
+@given(pair_count_words)
 def test_pair_counts_sum_to_length(w):
     # every cyclic digraph is one of the four patterns or a mirror of ab/aB
     pc = pair_counts(w)
