@@ -185,7 +185,11 @@ def apply_cyclic(phi, w: str) -> str:
     the result is the quantity all level and minimality tests compare.
     """
     if isinstance(phi, OneLetterAut):
-        return cyclic_reduce(w.translate(phi.table))[0]
+        # On a reduced w the only pairs y -> yx, Y -> XY can cancel are the new
+        # xX, and deleting them leaves none; cyclic_reduce finishes other input
+        y, x = phi.y, phi.x
+        Y, X = inverse_letter(y), inverse_letter(x)
+        return cyclic_reduce(w.replace(y, y + x).replace(Y, X + Y).replace(x + X, ""))[0]
     return cyclic_reduce(apply_whitehead(phi, w))[0]
 
 

@@ -183,6 +183,8 @@ def _resolve_workers(args) -> int:
             workers = int(os.environ["F2AUT_WORKERS"])
         except ValueError:
             raise ValueError("F2AUT_WORKERS must be an integer") from None
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
     else:
         workers = max(1, os.cpu_count() or 1)
     if workers < 1:
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census of all classes over a length range")
     p.add_argument("--lengths", required=True, help="length range as N or A..B (0 <= A <= B <= 20)")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default: $F2AUT_WORKERS or all cores)")
+    p.add_argument("--workers", type=int, default=None, help="worker processes (default: $F2AUT_WORKERS or the usable cores)")
     p.add_argument("--out", default=None, help="directory for classes_<n>.jsonl and census CSV files")
     p.add_argument("--weight", type=int, default=None, help="restrict classes_<n>.jsonl to one weight")
     p.add_argument("--check-conjectures", action="store_true", help="emit the observed-versus-predicted report")

@@ -20,12 +20,15 @@ Pipeline, per length n:
    the classes by ascending (size, least word).
 
 Shards are defined by forced word prefixes, so results are identical for
-any worker count: shard outputs are concatenated in prefix order.
+any worker count: shard outputs are concatenated in prefix order.  One
+pool scans the shards of every length, so the workers scan length n + 1
+while the parent runs steps 4-5 and the caller's sink for length n.
 principal_coincidence_scan reads the records instead of enumerating again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -142,18 +145,32 @@ def _check_size(n, workers) -> None:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
+def _rows_by_length(lengths, workers: int):
+    """Yield (n, every _shard_job row of length n in vertex order) for each n
+    in lengths, in order.
+
+    Shards go to one pool one at a time, in (n, prefix) order, so the heavy
+    ones spread over the workers, and are read back in the same order.  The
+    pool exists only if some length has more than one shard, and is
+    terminated when the generator ends or is closed.
+    """
+    prefixes = {n: _shard_prefixes(n) for n in lengths if n}
+    jobs = [(n, prefix) for n in lengths if n for prefix in prefixes[n]]
+    parallel = workers > 1 and any(len(p) > 1 for p in prefixes.values())
+    with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
+        chunks = pool.imap(_shard_job, jobs, chunksize=1) if parallel else map(_shard_job, jobs)
+        for n in lengths:
+            if n == 0:
+                yield 0, [vertex_row("", SubwordCounts(0, 0, 0, 0), (0, 0, 0, 0))]
+            else:
+                yield n, [row for _ in prefixes[n] for row in next(chunks)]
+
+
 def _minimal_rows(n: int, workers: int = 1) -> list:
     """All _shard_job rows for length n, in ascending vertex order."""
     _check_size(n, workers)
-    if n == 0:
-        return [vertex_row("", SubwordCounts(0, 0, 0, 0), (0, 0, 0, 0))]
-    jobs = [(n, prefix) for prefix in _shard_prefixes(n)]
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_shard_job, jobs)
-    else:
-        chunks = [_shard_job(job) for job in jobs]
-    return [row for chunk in chunks for row in chunk]
+    [(_, rows)] = _rows_by_length([n], workers)
+    return rows
 
 
 def enumerate_minimal(n: int, workers: int = 1) -> list:
@@ -181,7 +198,12 @@ class ClassRecord:
 def enumerate_classes(n: int, workers: int = 1) -> list:
     """All classes at length n as ClassRecord values, numbered n.1, n.2, ...
     ascending by (size, least vertex)."""
-    rows = _minimal_rows(n, workers)
+    return _classes(n, _minimal_rows(n, workers))
+
+
+def _classes(n: int, rows: list) -> list:
+    """The ClassRecords of length n from its rows: union each vertex with its
+    level images, assemble one graph per component and number them."""
     index = {row[0]: i for i, row in enumerate(rows)}
     parent = list(range(len(rows)))
 
@@ -235,23 +257,20 @@ def census(lengths, workers: int = 1, sink=None) -> CensusTables:
     for n in lengths:
         _check_size(n, workers)
     tables = CensusTables({}, {g: {} for g in ("P1", "P2", "P3")}, {}, {}, {})
-    for n in lengths:
-        records = enumerate_classes(n, workers)
-        types = Counter()
-        stats = Counter()
-        vertices = 0
-        for rec in records:
-            types[rec.gtype] += 1
-            stats[(rec.gtype, rec.weight, rec.size, rec.graph.is_root_class)] += 1
-            vertices += rec.size
-            if rec.gtype in tables.size_counts:
-                tables.size_counts[rec.gtype].setdefault(n, Counter())[rec.size] += 1
-        tables.type_counts[n] = types
-        tables.class_stats[n] = stats
-        tables.class_totals[n] = len(records)
-        tables.vertex_totals[n] = vertices
-        if sink is not None:
-            sink(n, records)
+    with contextlib.closing(_rows_by_length(lengths, workers)) as stream:
+        for n, rows in stream:
+            records = _classes(n, rows)
+            tables.type_counts[n] = Counter(rec.gtype for rec in records)
+            tables.class_stats[n] = Counter(
+                (rec.gtype, rec.weight, rec.size, rec.graph.is_root_class) for rec in records
+            )
+            tables.class_totals[n] = len(records)
+            tables.vertex_totals[n] = sum(rec.size for rec in records)
+            for rec in records:
+                if rec.gtype in tables.size_counts:
+                    tables.size_counts[rec.gtype].setdefault(n, Counter())[rec.size] += 1
+            if sink is not None:
+                sink(n, records)
     return tables
 
 

@@ -21,6 +21,7 @@ LETTERS = "abAB"
 
 _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 _INVERT_TABLE = str.maketrans("abAB", "ABab")
+_DELETE_LETTERS = str.maketrans("", "", LETTERS)
 # a < b < A < B as '0' < '1' < '2' < '3'
 _ORDER_TABLE = str.maketrans("abAB", "0123")
 
@@ -40,9 +41,9 @@ class SubwordCounts(NamedTuple):
 
 def check_word(s: str) -> str:
     """Validate the letter alphabet; returns s unchanged."""
-    for c in s:
-        if c not in _INV:
-            raise ValueError(f"invalid letter {c!r}: words use only 'a', 'b', 'A', 'B'")
+    if s.translate(_DELETE_LETTERS):
+        bad = next(c for c in s if c not in _INV)
+        raise ValueError(f"invalid letter {bad!r}: words use only 'a', 'b', 'A', 'B'")
     return s
 
 
@@ -69,6 +70,8 @@ def order_key(w: str) -> str:
 
 def free_reduce(s: str) -> str:
     """Cancel adjacent inverse pairs until none remain.  Idempotent."""
+    if is_reduced(s):
+        return s
     out: list[str] = []
     for c in s:
         if out and out[-1] == _INV[c]:

@@ -1,14 +1,16 @@
 """Command line interface, exercised through main(argv)."""
 
+import argparse
 import csv
 import io
 import json
+import os
 
 import pytest
 
 import oracles as orc
 from f2aut.class_graph import build_graph, from_json
-from f2aut.cli import PRINCIPAL_NAMES, main
+from f2aut.cli import PRINCIPAL_NAMES, _resolve_workers, main
 
 
 def run(capsys, *argv):
@@ -220,3 +222,12 @@ def test_workers_from_environment(capsys, monkeypatch):
     rc, _, err = run(capsys, "enumerate", "--lengths", "3", "--format", "csv")
     assert rc == 2
     assert "F2AUT_WORKERS" in err
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("F2AUT_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _resolve_workers(argparse.Namespace(workers=None)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _resolve_workers(argparse.Namespace(workers=None)) == 64

@@ -1,11 +1,13 @@
 """Exhaustive enumeration, census tables, and conjecture reporting."""
 
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 import oracles as orc
-from f2aut.class_graph import GRAPH_TYPES, ClassGraph, to_dict
+from f2aut import enumeration
+from f2aut.class_graph import GRAPH_TYPES, ClassGraph, TheoremViolation, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
     LIMIT_SEQUENCE,
@@ -107,6 +109,49 @@ def test_census_aggregation_and_sink():
     assert tables.vertex_totals[9] == 177
     assert tables.class_totals[9] == 101
     assert expected_class_size(tables, 9) == Fraction(177, 101)
+
+
+def test_census_streams_every_length_through_one_pool(monkeypatch):
+    pools = []
+    make_pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *a: pools.append(a) or make_pool(*a))
+    calls = []
+    census(range(11), workers=2, sink=lambda n, recs: calls.append((n, recs)))
+    assert pools == [(2,)]
+    assert [n for n, _ in calls] == list(range(11))
+    for n, records in calls:
+        assert records == enumerate_classes(n, 1)
+    assert multiprocessing.active_children() == []
+
+
+_scan_shard = enumeration._shard_job
+
+
+def _shard_job_failing_at_9(job):
+    if job == (9, "abab"):
+        raise TheoremViolation("injected in a worker")
+    return _scan_shard(job)
+
+
+def test_census_pool_is_torn_down_when_a_shard_fails(monkeypatch):
+    monkeypatch.setattr(enumeration, "_shard_job", _shard_job_failing_at_9)
+    seen = []
+    with pytest.raises(TheoremViolation, match="injected in a worker"):
+        census(range(11), workers=2, sink=lambda n, recs: seen.append(n))
+    assert seen == list(range(9))
+    assert multiprocessing.active_children() == []
+
+
+def test_census_pool_is_torn_down_when_the_caller_stops():
+    def sink(n, records):
+        if n == 8:
+            raise TheoremViolation("injected in the parent")
+
+    with pytest.raises(TheoremViolation) as caught:
+        census(range(11), workers=2, sink=sink)
+    # census's frame lives on in the traceback, so only an explicit close ends the pool
+    assert multiprocessing.active_children() == []
+    assert str(caught.value) == "injected in the parent"
 
 
 def test_record_json_shape():

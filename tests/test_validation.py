@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from f2aut.word_core import check_word
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # library calls that must raise ValueError; each is evaluated in a `python -O` process
@@ -32,6 +34,7 @@ BAD_CALLS = (
     'minimize("Aa")',
     'canonical_word("abA")',
     'canonical_witness("abx")',
+    'canonical_word("ab" * 8000 + "c" + "ab")',
     'enumerate_classes(-1)',
     'enumerate_classes(2, workers=0)',
     'enumerate_minimal(3, workers=0)',
@@ -91,3 +94,8 @@ def test_cli_input_errors_exit_2_without_traceback_under_O(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_bad_letter_deep_in_a_long_word_is_named():
+    with pytest.raises(ValueError, match="invalid letter 'c'"):
+        check_word("ab" * 8000 + "cx" + "ab")
