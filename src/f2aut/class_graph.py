@@ -7,9 +7,9 @@ pointing at the canonical form of the image.  The resulting multigraphs
 fall into exactly ten shapes: three path-like families P1, P2, P3 for
 non-root classes and seven bounded shapes R1..R7 for root classes.
 
-A graph is assembled from vertex rows (minimality.vertex_row): build_graph
-takes the rows of minimality.level_closure, the enumeration those of one
-union-find component.
+A graph is assembled from the vertex rows (minimality.vertex_row) of one
+class, which minimality.level_closure collects for build_graph and for the
+enumeration alike.
 
 classify matches those shapes structurally; anything else raises
 TheoremViolation, which no reachable input should trigger.
@@ -25,6 +25,7 @@ from .automorphism import canonical_word
 from .minimality import is_minimal, level_closure
 from .word_core import (
     TheoremViolation,
+    check_word,
     cyclic_reduce,
     is_alternating,
     order_key,
@@ -58,7 +59,7 @@ def _assemble(rows) -> ClassGraph:
 
 def build_graph(w: str) -> ClassGraph:
     """The class graph of a minimal word: the level closure of its canonical form."""
-    w = cyclic_reduce(w)[0]
+    w = cyclic_reduce(check_word(w))[0]
     if not is_minimal(w):
         raise ValueError(f"build_graph requires a minimal word, got {w!r}")
     return _assemble(level_closure(canonical_word(w)))

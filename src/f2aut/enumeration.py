@@ -4,9 +4,9 @@ Pipeline, per length n:
 
 1. scan the cyclically reduced necklaces (least rotations) containing the
    letter a with Duval's recursion over letter codes, carrying the a-type
-   tally and the digraph counts aa, bb, ab, aB down the recursion, and drop
-   each subtree in which no completion can be minimal or least mod
-   signed permutation (see _shard_job);
+   tally and the digraph counts ab, aB down the recursion, and drop each
+   subtree in which no completion can be minimal or least mod signed
+   permutation (see _shard_job);
 2. at each leaf, add the wrap digraph and keep the word if it is minimal:
    principal_deltas of the counts has no negative entry.  Only these words
    are built as strings;
@@ -14,15 +14,16 @@ Pipeline, per length n:
    _rotation_keys key starting with the word's leading a-run is below the
    word's own.  Each surviving word is one vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
-   change 0 and reduces the images to their canonical forms; union each
-   vertex with its images;
-5. assemble one ClassGraph per union component from its rows, and number
-   the classes by ascending (size, least word).
+   change 0 and reduces the images to their canonical forms;
+5. from each vertex not yet in a class, in ascending order, collect its
+   class with minimality.level_closure over these rows, assemble one
+   ClassGraph per class, and number the classes by ascending (size, least
+   word).
 
 Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.  One
 pool scans the shards of every length, so the workers scan length n + 1
-while the parent runs steps 4-5 and the caller's sink for length n.
+while the parent runs step 5 and the caller's sink for length n.
 principal_coincidence_scan reads the records instead of enumerating again.
 """
 
@@ -30,28 +31,23 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphism import PRINCIPALS, _rotation_keys, apply_cyclic, canonical_word
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
-from .minimality import principal_deltas, vertex_row
+from .minimality import level_closure, principal_deltas, vertex_row
 from .word_core import SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _LETTERS = "abAB"
 
-# The SubwordCounts field each reduced digraph counts toward.  The other four
-# (ba, AB, Ba, Ab) are occurrences of the mirror patterns, which have equal
-# cyclic counts but are not occurrences of the tracked ones.
-_DIGRAPH_SLOT = {"aa": 0, "AA": 0, "bb": 1, "BB": 1, "ab": 2, "BA": 2, "aB": 3, "bA": 3}
-
-# Count increments (a-type letter, aa, bb, ab, aB) for appending code v after
-# code u, indexed 4 * u + v.
+# Count increments (a-type letter, ab, aB) for appending code v after code u,
+# indexed 4 * u + v.  As in pair_counts, ab counts ab and BA, aB counts aB and bA.
 _STEP = tuple(
-    (1 - (v & 1), *[int(_DIGRAPH_SLOT.get(x + y) == s) for s in range(4)])
+    (1 - (v & 1), int(x + y in ("ab", "BA")), int(x + y in ("aB", "bA")))
     for x in _LETTERS
     for v, y in enumerate(_LETTERS)
 )
@@ -66,13 +62,16 @@ def _shard_job(args) -> list:
     the wrap pair is checked at the leaf.  Killing a prefix with an inverse
     pair removes only non-reduced completions, so the period bookkeeping is
     unaffected.  The recursion carries the a-type tally and the digraph
-    counts aa, bb, ab, aB of the letters placed, and two necessary
-    conditions drop a subtree early:
+    counts ab, aB of the letters placed; the leaf derives aa and bb from
+    them as pair_counts does.  Three necessary conditions drop a subtree
+    early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion;
     - a run of one letter longer than the leading a-run (cap): the image
-      sending that letter to a has a smaller rotation.
+      sending that letter to a has a smaller rotation;
+    - B as the first letter after the leading a-run: the image swapping b
+      and B is smaller at rotation 0.
     """
     n, prefix = args
     pre = [_CODE[ch] for ch in prefix]
@@ -81,9 +80,10 @@ def _shard_job(args) -> list:
     a[1] = first = pre[0]
     rows = []
 
-    def leaf(tally, aa, bb, ab, aB, cap):
-        _, daa, dbb, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
-        pc = SubwordCounts(aa + daa, bb + dbb, ab + dab, aB + daB)
+    def leaf(tally, ab, aB, cap):
+        _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
+        ab, aB = ab + dab, aB + daB
+        pc = SubwordCounts(tally - ab - aB, n - tally - ab - aB, ab, aB)  # as in pair_counts
         deltas = principal_deltas(tally, n - tally, pc)
         if min(deltas) < 0:
             return  # not minimal
@@ -93,23 +93,23 @@ def _shard_job(args) -> list:
             return  # a rotation of a permutation image is smaller
         rows.append(vertex_row(w, pc, deltas))
 
-    def rec(t, p, tally, aa, bb, ab, aB, run, cap):
+    def rec(t, p, tally, ab, aB, run, cap):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
         # leading a-run, or n while every letter placed is an a
         if t > n:
             if n % p == 0 and a[n] != first ^ 2:
-                leaf(tally, aa, bb, ab, aB, cap)
+                leaf(tally, ab, aB, cap)
             return
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
-        for v in (pre[t - 1],) if t <= forced else range(lo, 4):
+        for v in (pre[t - 1],) if t <= forced else range(lo, 2 if cap == n else 4):
             if v < lo or v == prev ^ 2:
                 continue
             run_v = run + 1 if v == prev else 1
             if run_v > cap:
                 continue
-            dt, daa, dbb, dab, daB = _STEP[4 * prev + v]
+            dt, dab, daB = _STEP[4 * prev + v]
             tally_v = tally + dt
             ab_v = ab + dab
             aB_v = aB + daB
@@ -118,9 +118,9 @@ def _shard_job(args) -> list:
                 continue
             a[t] = v
             cap_v = t - 1 if cap == n and v else cap
-            rec(t + 1, p if v == lo else t, tally_v, aa + daa, bb + dbb, ab_v, aB_v, run_v, cap_v)
+            rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v)
 
-    rec(2, 1, 1 - (first & 1), 0, 0, 0, 0, 1, n)
+    rec(2, 1, 1 - (first & 1), 0, 0, 1, n)
     return rows
 
 
@@ -134,7 +134,8 @@ def _shard_prefixes(n: int) -> list:
         prefixes = [
             p + ch for p in prefixes for ch in _LETTERS if ch != inverse_letter(p[-1])
         ]
-    return prefixes
+    # _shard_job scans no word whose first letter after the leading a-run is B
+    return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
 def _check_size(n, workers) -> None:
@@ -151,17 +152,18 @@ def _rows_by_length(lengths, workers: int):
 
     Shards go to one pool one at a time, in (n, prefix) order, so the heavy
     ones spread over the workers, and are read back in the same order.  The
-    pool exists only if some length has more than one shard, and is
-    terminated when the generator ends or is closed.
+    pool exists only if some length has more than one shard, has no more
+    workers than shards, and is terminated when the generator ends or is
+    closed.
     """
     prefixes = {n: _shard_prefixes(n) for n in lengths if n}
     jobs = [(n, prefix) for n in lengths if n for prefix in prefixes[n]]
     parallel = workers > 1 and any(len(p) > 1 for p in prefixes.values())
-    with multiprocessing.Pool(workers) if parallel else contextlib.nullcontext() as pool:
+    with multiprocessing.Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
         chunks = pool.imap(_shard_job, jobs, chunksize=1) if parallel else map(_shard_job, jobs)
         for n in lengths:
             if n == 0:
-                yield 0, [vertex_row("", SubwordCounts(0, 0, 0, 0), (0, 0, 0, 0))]
+                yield 0, level_closure("")
             else:
                 yield n, [row for _ in prefixes[n] for row in next(chunks)]
 
@@ -202,33 +204,18 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
 
 
 def _classes(n: int, rows: list) -> list:
-    """The ClassRecords of length n from its rows: union each vertex with its
-    level images, assemble one graph per component and number them."""
-    index = {row[0]: i for i, row in enumerate(rows)}
-    parent = list(range(len(rows)))
+    """The ClassRecords of length n from its rows, in ascending vertex order:
+    from each row not yet in a class, level_closure collects the class from
+    rows; each class is assembled into one graph and numbered."""
+    unclaimed = {row[0]: row for row in rows}
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def claim(w: str) -> tuple:
+        row = unclaimed.pop(w, None)
+        if row is None:
+            raise TheoremViolation(f"level image {w!r} is missing or already in another class")
+        return row
 
-    for i, (w, images, _, _) in enumerate(rows):
-        for _, c in images:
-            j = index.get(c)
-            if j is None:
-                raise TheoremViolation(
-                    f"canonical image {c!r} of vertex {w!r} missing from enumeration"
-                )
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-
-    members = defaultdict(list)
-    for i in range(len(rows)):
-        members[find(i)].append(i)
-
-    graphs = [_assemble([rows[i] for i in group]) for group in members.values()]
+    graphs = [_assemble(level_closure(row[0], claim)) for row in rows if row[0] in unclaimed]
     graphs.sort(key=lambda g: (len(g.vertices), order_key(g.vertices[0])))
 
     return [

@@ -12,8 +12,9 @@ and ({y}, x) preserves the cyclic length of w (is "level" on w) exactly
 when (y x^-1)_w = (yx)_w + (yy)_w, for len(w) >= 2.
 
 vertex_row is the one map from a vertex of a class graph to its level
-edges, and level_closure collects the rows of one class; the enumeration,
-build_graph and are_conjugate all read class graphs from these rows.
+edges, and level_closure is the one way a class is found: it collects the
+rows of one class breadth-first.  build_graph and are_conjugate compute
+each row; the enumeration reads them from the rows of its scan.
 
 are_conjugate decides whether two words lie in the same automorphic
 conjugacy class and can produce a replayable witness: a token sequence
@@ -39,6 +40,7 @@ from .automorphism import (
 from .word_core import (
     TheoremViolation,
     check_cyclic_word,
+    check_word,
     cyclic_reduce,
     is_alternating,
     letter_tally,
@@ -131,10 +133,12 @@ def minimize(w: str) -> tuple[str, tuple]:
 
 def level_profile(w: str) -> LevelProfile:
     """Level flags for the four principals plus the word predicates."""
-    if not is_minimal(w):
+    check_cyclic_word(w)
+    pc = pair_counts(w)
+    deltas = principal_deltas(*letter_tally(w), pc)
+    if min(deltas) < 0:
         raise ValueError(f"level_profile requires a minimal word, got {w!r}")
-    flags = tuple(is_level(phi, w) for phi in PRINCIPALS)
-    return LevelProfile(flags, True, is_root(w), is_alternating(w))
+    return LevelProfile(tuple(d == 0 for d in deltas), True, *vertex_flags(len(w), pc))
 
 
 # --- class graph rows ----------------------------------------------------
@@ -155,18 +159,24 @@ def vertex_row(w: str, pc, deltas) -> tuple:
     return (w, images, *vertex_flags(n, pc))
 
 
-def level_closure(start: str) -> list:
+def _computed_row(u: str) -> tuple:
+    """The vertex_row of a canonical word that must be minimal."""
+    pc = pair_counts(u)
+    deltas = principal_deltas(*letter_tally(u), pc)
+    if min(deltas) < 0:
+        raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
+    return vertex_row(u, pc, deltas)
+
+
+def level_closure(start: str, row_of=_computed_row) -> list:
     """The vertex_row of every vertex of the class graph of start, a
-    canonical minimal word, in breadth-first discovery order."""
+    canonical minimal word, in breadth-first discovery order; row_of(u)
+    supplies the row of each vertex u reached, computed from u by default."""
     seen = {start}
     queue = [start]
     rows = []
     for u in queue:
-        pc = pair_counts(u)
-        deltas = principal_deltas(*letter_tally(u), pc)
-        if min(deltas) < 0:
-            raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
-        rows.append(vertex_row(u, pc, deltas))
+        rows.append(row_of(u))
         for _, c in rows[-1][1]:
             if c not in seen:
                 seen.add(c)
@@ -209,7 +219,7 @@ def apply_token(item, w: str) -> str:
 
 def replay_witness(w: str, tokens) -> str:
     """Apply a witness to cyclic_reduce(w); each step preserves the class."""
-    cur = cyclic_reduce(w)[0]
+    cur = cyclic_reduce(check_word(w))[0]
     for tok in tokens:
         cur = apply_token(parse_token(tok) if isinstance(tok, str) else tok, cur)
     return cur
@@ -231,8 +241,8 @@ def are_conjugate(w: str, v: str, witness: bool = True):
     cyclic_reduce(v) exactly, or None when witness=False or the words are
     not conjugate.
     """
-    cw = cyclic_reduce(w)[0]
-    cv = cyclic_reduce(v)[0]
+    cw = cyclic_reduce(check_word(w))[0]
+    cv = cyclic_reduce(check_word(v))[0]
     w_states, w_trace = _minimize_states(cw)
     v_states, v_trace = _minimize_states(cv)
     mw, mv = w_states[-1], v_states[-1]

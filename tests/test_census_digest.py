@@ -15,6 +15,9 @@ CENSUS_0_11_DIGEST = "79e1757ddac7ee8cafe1829384c6af4cf44f03b5f2bc3ff861c79349d6
 # sha256 of the classes_13.jsonl lines, {"id", **to_dict}, of enumerate_classes(13, workers=2)
 CLASSES_13_DIGEST = "9a808a67a7b28f33da541e031547c111bcafdf00b7fd87e2a6c31f62190769bc"
 
+# the same recipe for enumerate_classes(14, workers=2)
+CLASSES_14_DIGEST = "9e800a2a6af9e2ba48b8725f09b2ebac2088e1f997082d88dc4acdb9f9af580b"
+
 
 def census_digest(tmp_path, capsys, workers: int) -> str:
     out = tmp_path / f"out{workers}"
@@ -46,8 +49,16 @@ def test_census_digest_is_pinned(tmp_path, capsys, workers):
     assert census_digest(tmp_path, capsys, workers) == CENSUS_0_11_DIGEST
 
 
-def test_length_13_classes_are_pinned():
+def classes_digest(n: int) -> str:
     h = hashlib.sha256()
-    for rec in enumerate_classes(13, workers=2):
+    for rec in enumerate_classes(n, workers=2):
         h.update((json.dumps({"id": rec.class_id, **to_dict(rec.graph)}) + "\n").encode())
-    assert h.hexdigest() == CLASSES_13_DIGEST
+    return h.hexdigest()
+
+
+def test_length_13_classes_are_pinned():
+    assert classes_digest(13) == CLASSES_13_DIGEST
+
+
+def test_length_14_classes_are_pinned():
+    assert classes_digest(14) == CLASSES_14_DIGEST

@@ -154,6 +154,54 @@ def test_census_pool_is_torn_down_when_the_caller_stops():
     assert str(caught.value) == "injected in the parent"
 
 
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_pool_has_no_more_workers_than_shards(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    records = enumerate_classes(8, workers=5000)
+    assert _SerialPool.sizes == [len(enumeration._shard_prefixes(8))]
+    assert records == enumerate_classes(8, 1)
+
+
+@pytest.mark.parametrize("n, count", ((8, 14), (18, 41)))
+def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
+    # 13 of the 27 four-letter and 40 of the 81 five-letter prefixes would
+    # only hold words whose b<->B image is smaller
+    prefixes = enumeration._shard_prefixes(n)
+    assert len(prefixes) == count
+    assert not [p for p in prefixes if p.lstrip("a").startswith("B")]
+
+
+def test_classes_reject_a_missing_level_image():
+    rows = [("aaabAb", [(1, "aaaabb")], False, False)]
+    with pytest.raises(TheoremViolation):
+        enumeration._classes(6, rows)
+
+
+def test_classes_reject_a_one_way_level_edge():
+    # aaaabb has no edge back to aaabAb
+    rows = [("aaaabb", [], False, False), ("aaabAb", [(1, "aaaabb")], False, False)]
+    with pytest.raises(TheoremViolation):
+        enumeration._classes(6, rows)
+
+
 def test_record_json_shape():
     rec = enumerate_classes(4)[1]
     d = {"id": rec.class_id, **to_dict(rec.graph)}  # one classes_<n>.jsonl line

@@ -20,6 +20,9 @@ BAD_CALLS = (
     'parse_token("W[x,b]")',
     'replay_witness("ab", ["P[a,a]"])',
     'replay_witness("ab", ["W[a,A]"])',
+    'replay_witness("ac", [])',
+    'are_conjugate("ac", "ab")',
+    'build_graph("ac")',
     'Permutation("a", "A")',
     'Permutation("b", "b")',
     'Permutation("a", "c")',
