@@ -4,22 +4,22 @@ Vertices are canonical forms (mod rotation and signed permutation) of the
 minimal words in one automorphic conjugacy class.  From each vertex there
 is one directed edge per principal automorphism that preserves its length,
 pointing at the canonical form of the image.  The resulting multigraphs
-fall into exactly ten shapes: three path-like families P1, P2, P3 for
-non-root classes and seven bounded shapes R1..R7 for root classes.
+have one of ten shapes, each stated once as an edge-list template:
+_ROOT_SHAPES for R1..R7 and _path_shapes for P1..P3.  classify names the
+template that some vertex order maps a graph onto; anything else raises
+TheoremViolation, which no reachable input should trigger.
 
 A graph is assembled from the vertex rows (minimality.vertex_row) of one
 class, which minimality.level_closure collects for build_graph and for the
 enumeration alike.
-
-classify matches those shapes structurally; anything else raises
-TheoremViolation, which no reachable input should trigger.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
 
 from .automorphism import canonical_word
 from .minimality import is_minimal, level_closure
@@ -65,106 +65,70 @@ def build_graph(w: str) -> ClassGraph:
     return _assemble(level_closure(canonical_word(w)))
 
 
-def _path_order(k, mult):
-    """Vertex order of a path on k vertices given its adjacency, else None."""
-    adj = defaultdict(set)
-    for u, v in mult:
-        adj[u].add(v)
-        adj[v].add(u)
-    if len(adj) != k:
+# Root shapes by (has_alternating, k): the sorted (u, v) pairs of the edges, labels dropped
+_ROOT_SHAPES = {
+    (False, 1): {((0, 0), (0, 0)): "R1"},
+    (False, 2): {((0, 0), (0, 1), (1, 0), (1, 0)): "R2"},  # doubled arc into the loop vertex
+    (False, 3): {((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)): "R3"},
+    (True, 1): {((0, 0), (0, 0), (0, 0), (0, 0)): "R4"},
+    (True, 2): {((0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 0)): "R5"},
+    # w0 = 0 sends doubled arcs to both others, which reply once and join each other
+    (True, 3): {((0, 1), (0, 1), (0, 2), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)): "R6"},
+    # bow-tie: centre 0 joined both ways to each corner, corners paired as 1 - 2 and 3 - 4
+    (True, 5): {
+        ((0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 2),
+         (2, 0), (2, 1), (3, 0), (3, 4), (4, 0), (4, 3)): "R7",
+    },
+}
+
+
+@lru_cache(maxsize=64)  # a census meets few path lengths
+def _path_shapes(k):
+    """P1..P3 on the two-way path 0 - 1 - ... - (k-1), decorated at end 0:
+    P2 adds a loop at 0, P3 a second arc 0 -> 1 (on one vertex, a second loop)."""
+    path = [(i + d, i + 1 - d) for i in range(k - 1) for d in (0, 1)]
+    p3 = [(0, 1)] if k > 1 else [(0, 0), (0, 0)]
+    shapes = {"P1": path, "P2": path + [(0, 0)], "P3": path + p3}
+    return {tuple(sorted(pairs)): name for name, pairs in shapes.items()}
+
+
+def _path_order(k, pairs):
+    """Position of each vertex along the path that the non-loop pairs trace, else None."""
+    adj = [set() for _ in range(k)]
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    ends = [u for u in range(k) if len(adj[u]) < 2]
+    if not ends:
         return None
-    ends = [u for u in adj if len(adj[u]) == 1]
-    if any(len(adj[u]) > 2 for u in adj) or len(ends) != 2:
-        return None
-    order = [min(ends)]
-    while len(order) < k:
+    order = [ends[0]]
+    while len(order) < k:  # a branch or a chord leaves two ways on; a gap, none
         nxt = adj[order[-1]] - set(order[-2:])
         if len(nxt) != 1:
             return None
         order.append(nxt.pop())
-    return order if len(set(order)) == k else None
+    position = [0] * k
+    for i, u in enumerate(order):
+        position[u] = i
+    return position
 
 
 def _classify(k, edges, is_root_class, has_alternating):
-    loops = Counter(u for u, v, _ in edges if u == v)
-    mult = Counter((u, v) for u, v, _ in edges if u != v)
-    nloops = sum(loops.values())
-
-    if not is_root_class:
-        # non-root classes are paths, possibly decorated at one end
-        if k == 1:
-            shape = {0: "P1", 1: "P2", 2: "P3"}.get(nloops)
+    """The shape whose template some vertex order maps the (u, v) pairs of edges onto."""
+    pairs = [(u, v) for u, v, _ in edges]
+    if all(0 <= u < k and 0 <= v < k for u, v in pairs):
+        if is_root_class:
+            shapes = _ROOT_SHAPES.get((has_alternating, k), {})
+            orders = permutations(range(k)) if shapes else ()
+        else:
+            shapes = _path_shapes(k)
+            position = _path_order(k, pairs)
+            orders = (position, [k - 1 - i for i in position]) if position else ()
+        for order in orders:
+            shape = shapes.get(tuple(sorted((order[u], order[v]) for u, v in pairs)))
             if shape:
                 return shape
-            return _unrecognized(edges)
-        order = _path_order(k, mult)
-        if order is None:
-            return _unrecognized(edges)
-        pairs = list(zip(order, order[1:]))
-        if any(mult[(u, v)] < 1 or mult[(v, u)] < 1 for u, v in pairs):
-            return _unrecognized(edges)
-        if sum(mult.values()) - 2 * len(pairs) not in (0, 1):
-            return _unrecognized(edges)
-        doubled = [(u, v) for (u, v), m in mult.items() if m == 2]
-        if all(m == 1 for m in mult.values()):
-            if nloops == 0:
-                return "P1"
-            if nloops == 1 and next(iter(loops)) in (order[0], order[-1]):
-                return "P2"
-        elif nloops == 0 and len(doubled) == 1:
-            u, v = doubled[0]
-            if (u, v) in (tuple(order[:2]), tuple(order[:-3:-1])) and mult[(v, u)] == 1:
-                return "P3"
-        return _unrecognized(edges)
-
-    if not has_alternating:
-        if k == 1 and nloops == 2:
-            return "R1"
-        if k == 2 and nloops == 1 and sorted(mult.values()) == [1, 2]:
-            lv = next(iter(loops))
-            if mult[(1 - lv, lv)] == 2 and mult[(lv, 1 - lv)] == 1:
-                return "R2"  # doubled edge into the loop vertex, single back
-        if k == 3 and nloops == 0 and len(mult) == 6 and set(mult.values()) == {1}:
-            return "R3"
-        return _unrecognized(edges)
-
-    if k == 1 and nloops == 4:
-        return "R4"
-    if k == 2 and nloops == 2 and len(loops) == 1:
-        w0 = next(iter(loops))
-        other = 1 - w0
-        if mult[(w0, other)] == 2 and mult[(other, w0)] == 2:
-            return "R5"
-    if k == 3 and nloops == 0:
-        out2 = [u for u in range(k) if sorted(mult[(u, v)] for v in range(k) if v != u) == [2, 2]]
-        if len(out2) == 1:
-            w0 = out2[0]
-            r1, r2 = (v for v in range(k) if v != w0)
-            if (
-                mult[(r1, w0)] == mult[(r2, w0)] == 1
-                and mult[(r1, r2)] == mult[(r2, r1)] == 1
-            ):
-                return "R6"
-    if k == 5 and nloops == 0:
-        degs = {u: sum(m for (s, _), m in mult.items() if s == u) for u in range(k)}
-        centers = [u for u in degs if degs[u] == 4]
-        if len(centers) == 1 and set(mult.values()) == {1}:
-            c = centers[0]
-            corners = [u for u in range(k) if u != c]
-            if all(mult[(c, u)] == 1 and mult[(u, c)] == 1 for u in corners):
-                partners = {}
-                for u in corners:
-                    links = [v for v in corners if v != u and mult[(u, v)] == 1]
-                    if len(links) != 1 or mult[(links[0], u)] != 1:
-                        break
-                    partners[u] = links[0]
-                else:
-                    if all(partners[partners[u]] == u for u in corners):
-                        return "R7"
-    return _unrecognized(edges)
-
-
-def _unrecognized(edges):
     raise TheoremViolation(f"UNRECOGNIZED class graph shape; edges: {sorted(edges)}")
 
 
@@ -202,14 +166,33 @@ def to_json(g: ClassGraph) -> str:
 
 
 def from_json(text: str) -> ClassGraph:
+    """The graph that to_json wrote; ValueError unless its edges and type are consistent."""
     data = json.loads(text)
-    return ClassGraph(
-        vertices=tuple(data["vertices"]),
-        edges=tuple(tuple(e) for e in data["edges"]),
-        is_root_class=data["root"],
-        has_alternating=data["alternating"],
-        gtype=data["type"],
-    )
+    try:
+        g = ClassGraph(
+            vertices=tuple(data["vertices"]),
+            edges=tuple(tuple(e) for e in data["edges"]),
+            is_root_class=data["root"],
+            has_alternating=data["alternating"],
+            gtype=data["type"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"not a class graph object: {exc!r}") from None
+    if type(g.is_root_class) is not bool or type(g.has_alternating) is not bool:
+        raise ValueError("root and alternating must be true or false")
+    k = len(g.vertices)
+    for e in g.edges:
+        if len(e) != 3 or any(type(x) is not int for x in e):
+            raise ValueError(f"edge {list(e)} is not three integers")
+        if not (0 <= e[0] < k and 0 <= e[1] < k and 1 <= e[2] <= 4):
+            raise ValueError(f"edge {list(e)} leaves the {k} vertices or the principals 1..4")
+    try:
+        gtype = classify(g)
+    except TheoremViolation as exc:
+        raise ValueError(str(exc)) from None
+    if gtype != g.gtype:
+        raise ValueError(f"stored type {g.gtype!r} differs from the classified type {gtype!r}")
+    return g
 
 
 def to_dot(g: ClassGraph) -> str:

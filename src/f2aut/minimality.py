@@ -95,13 +95,12 @@ def image_length(phi: OneLetterAut, w: str) -> int:
 
     phi acts on cyclic words like its principal, principal_of(phi).
     """
-    deltas = principal_deltas(*letter_tally(w), pair_counts(w))
+    deltas = principal_deltas(*letter_tally(check_cyclic_word(w)), pair_counts(w))
     return len(w) + deltas[principal_index(principal_of(phi)) - 1]
 
 
 def is_level(phi: OneLetterAut, w: str) -> bool:
     """Does phi preserve the cyclic length of w?"""
-    check_cyclic_word(w)
     return image_length(phi, w) == len(w)
 
 

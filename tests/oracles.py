@@ -6,7 +6,7 @@ Agreement between these functions and the library is what the tests check,
 so keep the two code bases strictly separate.
 """
 
-from itertools import product
+from itertools import permutations, product
 
 ALPHABET = "abAB"
 INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -255,6 +255,53 @@ def replay_tokens(w: str, tokens) -> str:
             k = payload % len(cur) if cur else 0
             cur = cur[k:] + cur[:k]
     return cur
+
+
+def o_two_way_path(k):
+    """Arcs i -> i + 1 and i + 1 -> i along the path 0 - 1 - ... - (k-1)."""
+    return [(i, i + 1) for i in range(k - 1)] + [(i + 1, i) for i in range(k - 1)]
+
+
+def _o_shapes() -> list:
+    """(name, is_root, has_alternating or None for either, k, arcs) for the ten
+    shapes, paths up to 6 vertices.  P2 and P3 hang their decoration on the
+    last vertex; the root shapes keep the labels build_graph gives their
+    smallest members."""
+    shapes = []
+    for k in range(1, 7):
+        end = [(k - 1, k - 2)] if k > 1 else [(0, 0), (0, 0)]
+        for name, extra in (("P1", []), ("P2", [(k - 1, k - 1)]), ("P3", end)):
+            shapes.append((name, False, None, k, o_two_way_path(k) + extra))
+    spokes = [(4, c) for c in range(4)] + [(c, 4) for c in range(4)]
+    return shapes + [
+        ("R1", True, False, 1, [(0, 0)] * 2),
+        ("R2", True, False, 2, [(0, 0), (0, 1), (1, 0), (1, 0)]),
+        ("R3", True, False, 3, [(u, v) for u in range(3) for v in range(3) if u != v]),
+        ("R4", True, True, 1, [(0, 0)] * 4),
+        ("R5", True, True, 2, [(0, 1), (0, 1), (1, 0), (1, 0), (1, 1), (1, 1)]),
+        ("R6", True, True, 3, [(2, 0), (2, 0), (2, 1), (2, 1), (0, 1), (1, 0), (0, 2), (1, 2)]),
+        ("R7", True, True, 5, spokes + [(0, 1), (1, 0), (2, 3), (3, 2)]),
+    ]
+
+
+O_SHAPES = _o_shapes()
+
+
+def o_shape(k: int, arcs, is_root: bool, has_alternating: bool):
+    """The shape of a class graph on k <= 6 vertices with these (u, v) arcs:
+    the one whose arcs some relabelling of the vertices reproduces.  None if
+    no shape fits or an arc leaves range(k)."""
+    assert k <= 6
+    if any(not 0 <= x < k for arc in arcs for x in arc):
+        return None
+    target = sorted(arcs)
+    for name, root, alt, size, shape in O_SHAPES:
+        if (root, size, len(shape)) != (is_root, k, len(arcs)) or alt not in (None, has_alternating):
+            continue
+        for perm in permutations(range(k)):
+            if sorted((perm[u], perm[v]) for u, v in shape) == target:
+                return name
+    return None
 
 
 def mirror_digraph_identity_domain():

@@ -1,7 +1,10 @@
 """Class graph construction, ten-shape classification, and serialization."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles as orc
 from f2aut.automorphism import PRINCIPALS, apply_cyclic, canonical_word
 from f2aut.class_graph import (
     ClassGraph,
@@ -101,6 +104,93 @@ def test_classify_rejects_malformed_graphs():
     )
     with pytest.raises(TheoremViolation):
         classify(bogus)
+
+
+def _graph(k, arcs, root=False, alt=False):
+    """A hand-made class graph on k dummy vertices; every arc gets principal 1."""
+    vertices = tuple(str(i) for i in range(k))
+    return ClassGraph(vertices, tuple(sorted((u, v, 1) for u, v in arcs)), root, alt, "P1")
+
+
+BOW_TIE_SPOKES = [(0, c) for c in range(1, 5)] + [(c, 0) for c in range(1, 5)]
+
+NEAR_MISS_SHAPES = {
+    "P2 loop on the middle vertex": _graph(3, orc.o_two_way_path(3) + [(1, 1)]),
+    "P3 extra arc between middle vertices": _graph(4, orc.o_two_way_path(4) + [(1, 2)]),
+    "P3 extra arc into the end": _graph(3, orc.o_two_way_path(3) + [(1, 0)]),
+    "path arc without its reply": _graph(3, [(0, 1), (1, 0), (1, 2)]),
+    "R2 doubled arc leaving the loop vertex": _graph(
+        2, [(0, 0), (0, 1), (0, 1), (1, 0)], root=True
+    ),
+    "R6 doubled arcs into w0": _graph(
+        3, [(1, 0), (1, 0), (2, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)], root=True, alt=True
+    ),
+    "R7 corners in a 4-cycle": _graph(
+        5, BOW_TIE_SPOKES + [(1, 2), (2, 3), (3, 4), (4, 1)], root=True, alt=True
+    ),
+    "R1 loops on two vertices": _graph(2, [(0, 0), (0, 0)], root=True),
+    "R3 arcs with an alternating vertex": _graph(
+        3, [(u, v) for u in range(3) for v in range(3) if u != v], root=True, alt=True
+    ),
+    "six-vertex root graph": _graph(6, orc.o_two_way_path(6), root=True),
+    "one vertex, edge to vertex 5": _graph(1, [(0, 5)]),
+    "two vertices, arcs to and from vertex 5": _graph(2, [(0, 5), (5, 0)]),
+}
+
+
+@pytest.mark.parametrize("g", NEAR_MISS_SHAPES.values(), ids=NEAR_MISS_SHAPES.keys())
+def test_classify_rejects_near_miss_shapes(g):
+    with pytest.raises(TheoremViolation):
+        classify(g)
+
+
+# the known classes plus paths of every shape up to 6 vertices
+SHAPE_GRAPHS = [
+    build_graph(word)
+    for word in [w for w, _, _ in KNOWN_CLASSES]
+    + ["aaabaBabb", "aaaaabaBabb", "aababaaBB", "aaaaaaaaabb", "aaaaaaaaaabb"]
+]
+
+
+@st.composite
+def random_multigraphs(draw):
+    """(k, arcs, root, alternating) on k <= 6 vertices; now and then an arc leaves them."""
+    k = draw(st.integers(1, 6))
+    vertex = st.integers(0, k - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    if draw(st.integers(0, 9)) == 0:
+        arcs.append((draw(vertex), k))
+    return k, arcs, draw(st.booleans()), draw(st.booleans())
+
+
+@st.composite
+def perturbed_shape_graphs(draw):
+    """A known graph with one arc removed, added or moved, or one flag flipped, relabelled."""
+    g = draw(st.sampled_from(SHAPE_GRAPHS))
+    k, arcs = len(g.vertices), [(u, v) for u, v, _ in g.edges]
+    root, alt = g.is_root_class, g.has_alternating
+    change = draw(st.sampled_from(["none", "remove", "add", "move", "root", "alternating"]))
+    vertex = st.integers(0, k - 1)
+    if change in ("remove", "move") and arcs:
+        arcs.pop(draw(st.integers(0, len(arcs) - 1)))
+    if change in ("add", "move"):
+        arcs.append((draw(vertex), draw(vertex)))
+    root ^= change == "root"
+    alt ^= change == "alternating"
+    perm = draw(st.permutations(range(k)))
+    return k, [(perm[u], perm[v]) for u, v in arcs], root, alt
+
+
+@given(st.one_of(random_multigraphs(), perturbed_shape_graphs()))
+def test_classify_agrees_with_shape_oracle(case):
+    k, arcs, root, alt = case
+    g = _graph(k, arcs, root, alt)
+    expected = orc.o_shape(k, arcs, root, alt)
+    if expected is None:
+        with pytest.raises(TheoremViolation):
+            classify(g)
+    else:
+        assert classify(g) == expected
 
 
 def test_alternating_vertex_lookup():

@@ -7,9 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from f2aut.class_graph import build_graph, from_json, to_json
 from f2aut.word_core import check_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# to_json(build_graph("aaabb")), a P2 class; BAD_CALLS spoils it one way at a time
+GRAPH_JSON = (
+    '{"length": 5, "type": "P2", "size": 2, "weight": 2, "root": false, "alternating": false, '
+    '"vertices": ["aaabb", "aabAb"], "edges": [[0, 1, 4], [1, 0, 3], [1, 1, 4]]}'
+)
 
 # library calls that must raise ValueError; each is evaluated in a `python -O` process
 BAD_CALLS = (
@@ -50,6 +57,23 @@ BAD_CALLS = (
     'm_value("aab", "a", "a")',
     'm_value("aab", "a", "A")',
     'm_value("aab", "x", "b")',
+    'image_length(PRINCIPALS[0], "aA")',
+    'from_json("{}")',
+    'from_json("[]")',
+    'from_json("not json")',
+) + tuple(
+    f"from_json({GRAPH_JSON.replace(old, new)!r})"
+    for old, new in (
+        ('"root"', '"rooted"'),  # a missing key
+        ('"alternating": false', '"alternating": []'),
+        ("[0, 1, 4]", "[0, 1]"),
+        ("[0, 1, 4]", "[0, 1, true]"),
+        ("[0, 1, 4]", "[0, 5, 4]"),  # an index outside the vertices
+        ("[0, 1, 4]", "[0, -1, 4]"),
+        ("[0, 1, 4]", "[0, 1, 5]"),  # a principal outside 1..4
+        ('"type": "P2"', '"type": "P1"'),  # a type classify disagrees with
+        ("[1, 0, 3], ", ""),  # an arc without its reply: no shape at all
+    )
 )
 
 SCRIPT = """
@@ -74,6 +98,11 @@ def run_optimized(*args):
     return subprocess.run(
         [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_graph_json_fixture_is_a_valid_graph():
+    assert to_json(build_graph("aaabb")) == GRAPH_JSON
+    assert from_json(GRAPH_JSON) == build_graph("aaabb")
 
 
 def test_bad_library_input_raises_value_error_under_O():
