@@ -12,7 +12,8 @@ signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B.
 canonical_word, canonical_witness and the enumeration's mod-J filter all
 read the candidates from one generator, _rotation_keys, which yields only
-the rotations that start with a given run of a's.
+the rotations that start with a given run of a's.  _j_equal decides
+whether two words share a canonical form without computing it.
 """
 
 from __future__ import annotations
@@ -251,6 +252,19 @@ def canonical_word(w: str) -> str:
     """
     check_cyclic_word(w)
     return min(_rotation_keys(w, _longest_run(w)), default="").translate(_FROM_ORDER)
+
+
+def _j_equal(u: str, v: str) -> bool:
+    """canonical_word(u) == canonical_word(v), without computing either.
+
+    v is a rotation of a permutation image of u exactly when some image's
+    doubled order key holds v's as a substring and the lengths agree.
+    Callers validate u and v.
+    """
+    if len(u) != len(v):
+        return False
+    key = order_key(v)
+    return any(key in u.translate(t) * 2 for t in _ORDER_TABLES)
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:

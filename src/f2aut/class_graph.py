@@ -25,6 +25,7 @@ from .automorphism import canonical_word
 from .minimality import is_minimal, level_closure
 from .word_core import (
     TheoremViolation,
+    check_cyclic_word,
     check_word,
     cyclic_reduce,
     is_alternating,
@@ -166,7 +167,9 @@ def to_json(g: ClassGraph) -> str:
 
 
 def from_json(text: str) -> ClassGraph:
-    """The graph that to_json wrote; ValueError unless its edges and type are consistent."""
+    """The graph that to_json wrote; ValueError unless its vertices, edges and
+    type are consistent: the vertices are canonical minimal words of one
+    length in strictly ascending order."""
     data = json.loads(text)
     try:
         g = ClassGraph(
@@ -180,6 +183,17 @@ def from_json(text: str) -> ClassGraph:
         raise ValueError(f"not a class graph object: {exc!r}") from None
     if type(g.is_root_class) is not bool or type(g.has_alternating) is not bool:
         raise ValueError("root and alternating must be true or false")
+    for w in g.vertices:
+        if type(w) is not str:
+            raise ValueError(f"vertex {w!r} is not a string")
+        check_cyclic_word(w)
+        if len(w) != len(g.vertices[0]):
+            raise ValueError(f"vertices {g.vertices[0]!r} and {w!r} differ in length")
+        if canonical_word(w) != w or not is_minimal(w):
+            raise ValueError(f"vertex {w!r} is not a canonical minimal word")
+    keys = [order_key(w) for w in g.vertices]
+    if keys != sorted(set(keys)):
+        raise ValueError("vertices do not strictly ascend in a < b < A < B order")
     k = len(g.vertices)
     for e in g.edges:
         if len(e) != 3 or any(type(x) is not int for x in e):

@@ -24,7 +24,9 @@ Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.  One
 pool scans the shards of every length, so the workers scan length n + 1
 while the parent runs step 5 and the caller's sink for length n.
-principal_coincidence_scan reads the records instead of enumerating again.
+principal_coincidence_scan reads the records instead of enumerating again,
+and compares principal images by length and then by _j_equal, without
+canonical forms.
 """
 
 from __future__ import annotations
@@ -35,11 +37,19 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphism import PRINCIPALS, _rotation_keys, apply_cyclic, canonical_word
+from .automorphism import PRINCIPALS, _j_equal, _rotation_keys, apply_cyclic, canonical_word
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
 from .minimality import level_closure, principal_deltas, vertex_row
-from .word_core import SubwordCounts, inverse_letter, order_key, weight
+from .word_core import (
+    SubwordCounts,
+    check_cyclic_word,
+    inverse_letter,
+    letter_tally,
+    order_key,
+    pair_counts,
+    weight,
+)
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _LETTERS = "abAB"
@@ -460,25 +470,46 @@ def render_conjecture_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+# (rule, h1, h2, c1, c2): a counterexample to rule has c_h1 == c_h2 but c_c1 != c_c2
+_COINCIDENCE_RULES = (
+    ("12=>34", 0, 1, 2, 3),
+    ("34=>12", 2, 3, 0, 1),
+    ("13=>24", 0, 2, 1, 3),
+    ("14=>23", 0, 3, 1, 2),
+    ("23=>14", 1, 2, 0, 3),
+)
+
+
 def principal_coincidence_scan(records) -> list:
     """Check, for every vertex of one length's records, the implications
     among coincidences of the four principal image classes; returns the
     counterexamples found, in ascending vertex order.
 
     With c_i the canonical form of the i-th principal image, the scanned
-    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.
+    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  Images of
+    different lengths (principal_deltas) differ; two images of one length
+    are built once each and compared with _j_equal.  Canonical forms are
+    computed only for the images a counterexample reports.
     """
     failures = []
-    vertices = sorted((w for rec in records for w in rec.representatives), key=order_key)
-    for w in vertices:
-        c = [canonical_word(apply_cyclic(phi, w)) for phi in PRINCIPALS]
-        for rule, hyp, conc in (
-            ("12=>34", c[0] == c[1], c[2] == c[3]),
-            ("34=>12", c[2] == c[3], c[0] == c[1]),
-            ("13=>24", c[0] == c[2], c[1] == c[3]),
-            ("14=>23", c[0] == c[3], c[1] == c[2]),
-            ("23=>14", c[1] == c[2], c[0] == c[3]),
-        ):
-            if hyp and not conc:
-                failures.append({"word": w, "rule": rule, "images": list(c)})
+    for w in sorted((w for rec in records for w in rec.representatives), key=order_key):
+        deltas = principal_deltas(*letter_tally(check_cyclic_word(w)), pair_counts(w))
+        images, known = [None] * 4, {}
+
+        def same(i, j):
+            # c_i == c_j, each image built at most once
+            if (i, j) not in known:
+                if deltas[i] != deltas[j]:
+                    known[i, j] = False
+                else:
+                    for k in (i, j):
+                        if images[k] is None:
+                            images[k] = apply_cyclic(PRINCIPALS[k], w)
+                    known[i, j] = _j_equal(images[i], images[j])
+            return known[i, j]
+
+        for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES:
+            if same(h1, h2) and not same(c1, c2):
+                c = [canonical_word(apply_cyclic(phi, w)) for phi in PRINCIPALS]
+                failures.append({"word": w, "rule": rule, "images": c})
     return failures

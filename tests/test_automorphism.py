@@ -16,6 +16,7 @@ from f2aut.automorphism import (
     OneLetterAut,
     Permutation,
     WhiteheadII,
+    _j_equal,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
@@ -223,6 +224,28 @@ def test_canonical_forms_on_long_words(w):
 def test_canonical_forms_on_run_heavy_words(w):
     assert canonical_word(w) == orc.o_canonical(w)
     assert canonical_witness(w) == brute_force_witness(w)
+
+
+@given(st.one_of(cyclic_reduced_words(max_size=30), run_heavy_words()), st.data())
+def test_j_equal_matches_canonical_equality(u, data):
+    kind = data.draw(st.sampled_from(["image", "same length", "any length"]))
+    if kind == "image":  # a rotation of a permutation image: always equal
+        v = rotate(data.draw(permutations)(u), data.draw(st.integers(0, len(u))))
+    elif kind == "same length":  # mostly not equal
+        v = data.draw(cyclic_reduced_words(min_size=len(u), max_size=len(u)))
+    else:
+        v = data.draw(cyclic_reduced_words(max_size=30))
+    expected = orc.o_canonical(u) == orc.o_canonical(v)
+    assert _j_equal(u, v) == _j_equal(v, u) == expected
+
+
+def test_j_equal_examples():
+    assert _j_equal("", "")
+    assert not _j_equal("", "a") and not _j_equal("a", "")
+    assert _j_equal("a", "B")
+    assert _j_equal("aabAb", "BABaa")  # rotated b <-> B image
+    assert not _j_equal("aabb", "abaB")  # one class graph, two vertices
+    assert not _j_equal("aabb", "aabbaabb")
 
 
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))

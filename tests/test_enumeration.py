@@ -4,8 +4,11 @@ import multiprocessing
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles as orc
+from conftest import cyclic_reduced_words, run_heavy_words
 from f2aut import enumeration
 from f2aut.class_graph import GRAPH_TYPES, ClassGraph, TheoremViolation, to_dict
 from f2aut.enumeration import (
@@ -257,28 +260,44 @@ def test_conjecture_report_shape_and_small_range():
     assert "MISMATCH" not in text
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(13))
 def test_no_principal_coincidence_failures(n):
     assert principal_coincidence_scan(enumerate_classes(n)) == []
+
+
+def _stub_records(words):
+    return [
+        ClassRecord(f"0.{i}", len(w), 1, weight(w), "P1", ClassGraph((w,), (), False, False, "P1"))
+        for i, w in enumerate(words)
+    ]
+
+
+def _brute_force_scan(words):
+    """The coincidence scan from the definitions: canonical forms of all four images."""
+    failures = []
+    for w in sorted(words, key=order_key):
+        c = [orc.o_canonical(orc.o_apply_cyclic(d, w)) for d in orc.PRINCIPAL_MAPS]
+        for rule in ("12=>34", "34=>12", "13=>24", "14=>23", "23=>14"):
+            h1, h2, c1, c2 = (int(ch) - 1 for ch in rule.replace("=>", ""))
+            if c[h1] == c[h2] and c[c1] != c[c2]:
+                failures.append({"word": w, "rule": rule, "images": c})
+    return failures
 
 
 def test_coincidence_scan_reads_records_in_vertex_order():
     # non-minimal words break the implications, and the scan accepts any records
     words = orc.necklaces(6)
-    records = [
-        ClassRecord(f"6.{i}", 6, 1, weight(w), "P1", ClassGraph((w,), (), False, False, "P1"))
-        for i, w in enumerate(reversed(words))
-    ]
-    failures = principal_coincidence_scan(records)
-    assert failures == principal_coincidence_scan(records[::-1])
+    failures = principal_coincidence_scan(_stub_records(words[::-1]))
+    assert failures == principal_coincidence_scan(_stub_records(words))
     keys = [order_key(f["word"]) for f in failures]
     assert keys and keys == sorted(keys)
-    for f in failures:
-        images = [
-            orc.o_canonical(orc.o_apply_cyclic(orc.one_letter_map(y, x), f["word"]))
-            for y, x in ("ab", "aB", "ba", "bA")
-        ]
-        assert f["images"] == images
+    assert failures == _brute_force_scan(words)
+
+
+@given(st.lists(st.one_of(cyclic_reduced_words(max_size=60), run_heavy_words()), max_size=6))
+@example(["aaBaBB", "aabAbABB", "abAB", ""])  # two counterexamples to 13=>24
+def test_coincidence_scan_matches_brute_force(words):
+    assert principal_coincidence_scan(_stub_records(words)) == _brute_force_scan(words)
 
 
 def test_class_record_is_frozen():

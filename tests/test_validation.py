@@ -62,6 +62,9 @@ BAD_CALLS = (
     'from_json("[]")',
     'from_json("not json")',
 ) + tuple(
+    f'principal_coincidence_scan([ClassRecord("2.1", 2, 1, 0, "P1", ClassGraph(({w!r},), (), False, False, "P1"))])'
+    for w in ("ac", "aA")  # a bad letter; not cyclically reduced
+) + tuple(
     f"from_json({GRAPH_JSON.replace(old, new)!r})"
     for old, new in (
         ('"root"', '"rooted"'),  # a missing key
@@ -73,6 +76,14 @@ BAD_CALLS = (
         ("[0, 1, 4]", "[0, 1, 5]"),  # a principal outside 1..4
         ('"type": "P2"', '"type": "P1"'),  # a type classify disagrees with
         ("[1, 0, 3], ", ""),  # an arc without its reply: no shape at all
+        ('["aaabb", "aabAb"]', '["aaxbb", "aabAb"]'),  # a vertex with a bad letter
+        ('["aaabb", "aabAb"]', '["aaabA", "aabAb"]'),  # not cyclically reduced
+        ('["aaabb", "aabAb"]', '["aaabb", "abAba"]'),  # a rotation of the canonical aabAb
+        ('["aaabb", "aabAb"]', '["aaaab", "aabAb"]'),  # not minimal
+        ('["aaabb", "aabAb"]', '["aaabb", "aabAbb"]'),  # two lengths
+        ('["aaabb", "aabAb"]', '["aabAb", "aaabb"]'),  # descending
+        ('["aaabb", "aabAb"]', '["aaabb", "aaabb"]'),  # a repeated vertex
+        ('["aaabb", "aabAb"]', '[5, "aabAb"]'),  # not a string
     )
 )
 
