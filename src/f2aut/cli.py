@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .automorphism import canonical_word
+from .automorphism import PRINCIPALS, canonical_word
 from .class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict, to_dot, to_json
 from .enumeration import (
     census,
@@ -44,7 +44,7 @@ from .word_core import (
     weight,
 )
 
-PRINCIPAL_NAMES = ("W[a,b]", "W[a,B]", "W[b,a]", "W[b,A]")
+PRINCIPAL_NAMES = tuple(format_token(phi) for phi in PRINCIPALS)
 
 
 def _core(word: str) -> str:
@@ -88,8 +88,6 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    check_word(args.word)
-    check_word(args.other)
     flag, tokens = are_conjugate(args.word, args.other)
     payload = {"equivalent": flag, "witness": list(tokens) if tokens else None}
     lines = ["equivalent" if flag else "not equivalent"]

@@ -25,8 +25,8 @@ any worker count: shard outputs are concatenated in prefix order.  One
 pool scans the shards of every length, so the workers scan length n + 1
 while the parent runs step 5 and the caller's sink for length n.
 principal_coincidence_scan reads the records instead of enumerating again,
-and compares principal images by length and then by _j_equal, without
-canonical forms.
+builds the four principal images of each vertex once and compares them with
+_j_equal, without canonical forms.
 """
 
 from __future__ import annotations
@@ -41,25 +41,16 @@ from .automorphism import PRINCIPALS, _j_equal, _rotation_keys, apply_cyclic, ca
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
 from .minimality import level_closure, principal_deltas, vertex_row
-from .word_core import (
-    SubwordCounts,
-    check_cyclic_word,
-    inverse_letter,
-    letter_tally,
-    order_key,
-    pair_counts,
-    weight,
-)
+from .word_core import LETTERS, SubwordCounts, check_cyclic_word, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
-_LETTERS = "abAB"
 
 # Count increments (a-type letter, ab, aB) for appending code v after code u,
 # indexed 4 * u + v.  As in pair_counts, ab counts ab and BA, aB counts aB and bA.
 _STEP = tuple(
     (1 - (v & 1), int(x + y in ("ab", "BA")), int(x + y in ("aB", "bA")))
-    for x in _LETTERS
-    for v, y in enumerate(_LETTERS)
+    for x in LETTERS
+    for v, y in enumerate(LETTERS)
 )
 
 
@@ -97,7 +88,7 @@ def _shard_job(args) -> list:
         deltas = principal_deltas(tally, n - tally, pc)
         if min(deltas) < 0:
             return  # not minimal
-        w = "".join([_LETTERS[c] for c in a[1:]])
+        w = "".join([LETTERS[c] for c in a[1:]])
         tw = order_key(w)
         if not all(key >= tw for key in _rotation_keys(w, cap)):
             return  # a rotation of a permutation image is smaller
@@ -142,17 +133,17 @@ def _shard_prefixes(n: int) -> list:
     prefixes = ["a"]
     for _ in range(plen - 1):
         prefixes = [
-            p + ch for p in prefixes for ch in _LETTERS if ch != inverse_letter(p[-1])
+            p + ch for p in prefixes for ch in LETTERS if ch != inverse_letter(p[-1])
         ]
     # _shard_job scans no word whose first letter after the leading a-run is B
     return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
 def _check_size(n, workers) -> None:
-    """Validate a word length and a worker count."""
-    if not isinstance(n, int) or n < 0:
+    """Validate a word length and a worker count; bool is not a count."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"length must be a nonnegative integer, got {n!r}")
-    if not isinstance(workers, int) or workers < 1:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
 
 
@@ -299,13 +290,25 @@ def _weight4_singleton_expected(n: int) -> Fraction:
     r = n % 4
     if r == 0:
         num = 2 * n**3 - 36 * n**2 + 244 * n - 540
-    elif r == 1:
-        num = 2 * n**3 - 36 * n**2 + 241 * n - 537
     elif r == 2:
         num = 2 * n**3 - 36 * n**2 + 244 * n - 546
-    else:
+    else:  # n odd
         num = 2 * n**3 - 36 * n**2 + 241 * n - 537
     return Fraction(num, 6)
+
+
+def _deficit_rows(tables, ns, wt, expected, first_n) -> list:
+    """Weight-wt plain-path classes of size n - k against expected[k], for
+    each n in ns with n >= first_n(k)."""
+    rows = []
+    for k, exp in expected.items():
+        for n in ns:
+            if n >= first_n(k) and n - k >= 1:
+                actual = _count_classes(tables, n, size=n - k, gtype="P1", wt=wt)
+                rows.append(
+                    {"k": k, "n": n, "expected": exp, "actual": actual, "ok": actual == exp}
+                )
+    return rows
 
 
 def conjecture_report(tables: CensusTables) -> dict:
@@ -320,12 +323,10 @@ def conjecture_report(tables: CensusTables) -> dict:
     tail = ns[-3:]
     diag = []
     for k in range(len(LIMIT_SEQUENCE)):
-        all_counts = {n: _count_classes(tables, n, size=n - k) for n in tail if n - k >= 1}
-        p1_counts = {
-            n: tables.size_counts["P1"].get(n, Counter()).get(n - k, 0)
-            for n in tail
-            if n - k >= 1
-        }
+        all_counts, p1_counts = (
+            {n: _count_classes(tables, n, size=n - k, gtype=g) for n in tail if n - k >= 1}
+            for g in (None, "P1")
+        )
         full = len(all_counts) == len(tail) == 3
         all_stable = full and len(set(all_counts.values())) == 1
         p1_stable = full and len(set(p1_counts.values())) == 1
@@ -348,17 +349,11 @@ def conjecture_report(tables: CensusTables) -> dict:
         )
     report["large_class_diagonal"] = diag
 
-    # (b) weight-4 classes of the plain path type with size n-k
-    rows = []
-    for k in range(4, max(ns) // 2 + 3):
-        expected = 6 * k - 24 if k % 2 == 0 else 6 * k - 25
-        for n in ns:
-            if n >= max(2 * k - 2, 9) and n - k >= 1:
-                actual = _count_classes(tables, n, size=n - k, gtype="P1", wt=4)
-                rows.append(
-                    {"k": k, "n": n, "expected": expected, "actual": actual, "ok": actual == expected}
-                )
-    report["weight4_path_by_deficit"] = rows
+    # (b) weight-4 classes of the plain path type with size n-k: 6k - 24, or 6k - 25 for odd k
+    expected = {k: 6 * k - 24 - k % 2 for k in range(4, max(ns) // 2 + 3)}
+    report["weight4_path_by_deficit"] = _deficit_rows(
+        tables, ns, 4, expected, lambda k: max(2 * k - 2, 9)
+    )
 
     # (c)-(f) non-root singleton classes by weight
     singles = {}
@@ -386,16 +381,9 @@ def conjecture_report(tables: CensusTables) -> dict:
     report["nonroot_singletons"] = singles
 
     # (g) weight-6 plain-path classes of size n-k settle at fixed counts
-    settled = {9: 38, 10: 160, 11: 396, 12: 800}
-    rows = []
-    for k, expected in settled.items():
-        for n in ns:
-            if n >= 2 * k - 5 and n - k >= 1:
-                actual = _count_classes(tables, n, size=n - k, gtype="P1", wt=6)
-                rows.append(
-                    {"k": k, "n": n, "expected": expected, "actual": actual, "ok": actual == expected}
-                )
-    report["weight6_path_by_deficit"] = rows
+    report["weight6_path_by_deficit"] = _deficit_rows(
+        tables, ns, 6, {9: 38, 10: 160, 11: 396, 12: 800}, lambda k: 2 * k - 5
+    )
 
     # (h) mean class size stays within [1, 1.76)
     rows = []
@@ -411,6 +399,15 @@ def conjecture_report(tables: CensusTables) -> dict:
         )
     report["mean_class_size"] = rows
     return report
+
+
+def _deficit_lines(title: str, rows: list) -> list:
+    """A blank line, title, and one line per _deficit_rows row."""
+    return ["", title] + [
+        f"  k={row['k']:2d} n={row['n']:2d} expected={row['expected']:4d}"
+        f" actual={row['actual']:4d} [{'ok' if row['ok'] else 'MISMATCH'}]"
+        for row in rows
+    ]
 
 
 def render_conjecture_report(report: dict) -> str:
@@ -431,14 +428,9 @@ def render_conjecture_report(report: dict) -> str:
             f"  plain-path: {fmt(row['p1_counts'])} [{mark}]"
         )
 
-    lines.append("")
-    lines.append("weight-4 plain-path classes of size n-k:")
-    for row in report["weight4_path_by_deficit"]:
-        mark = "ok" if row["ok"] else "MISMATCH"
-        lines.append(
-            f"  k={row['k']:2d} n={row['n']:2d} expected={row['expected']:4d}"
-            f" actual={row['actual']:4d} [{mark}]"
-        )
+    lines += _deficit_lines(
+        "weight-4 plain-path classes of size n-k:", report["weight4_path_by_deficit"]
+    )
 
     lines.append("")
     lines.append("non-root singleton classes by weight:")
@@ -450,16 +442,10 @@ def render_conjecture_report(report: dict) -> str:
                 f" actual={row['actual']:6d} [{mark}]"
             )
 
-    lines.append("")
-    lines.append("weight-6 plain-path classes of size n-k:")
-    if report["weight6_path_by_deficit"]:
-        for row in report["weight6_path_by_deficit"]:
-            mark = "ok" if row["ok"] else "MISMATCH"
-            lines.append(
-                f"  k={row['k']:2d} n={row['n']:2d} expected={row['expected']:4d}"
-                f" actual={row['actual']:4d} [{mark}]"
-            )
-    else:
+    lines += _deficit_lines(
+        "weight-6 plain-path classes of size n-k:", report["weight6_path_by_deficit"]
+    )
+    if not report["weight6_path_by_deficit"]:
         lines.append("  no computed length reaches the settled range")
 
     lines.append("")
@@ -486,30 +472,17 @@ def principal_coincidence_scan(records) -> list:
     counterexamples found, in ascending vertex order.
 
     With c_i the canonical form of the i-th principal image, the scanned
-    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  Images of
-    different lengths (principal_deltas) differ; two images of one length
-    are built once each and compared with _j_equal.  Canonical forms are
+    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  The four
+    images of each vertex are built once and compared with _j_equal, which
+    also tells images of different lengths apart.  Canonical forms are
     computed only for the images a counterexample reports.
     """
     failures = []
     for w in sorted((w for rec in records for w in rec.representatives), key=order_key):
-        deltas = principal_deltas(*letter_tally(check_cyclic_word(w)), pair_counts(w))
-        images, known = [None] * 4, {}
-
-        def same(i, j):
-            # c_i == c_j, each image built at most once
-            if (i, j) not in known:
-                if deltas[i] != deltas[j]:
-                    known[i, j] = False
-                else:
-                    for k in (i, j):
-                        if images[k] is None:
-                            images[k] = apply_cyclic(PRINCIPALS[k], w)
-                    known[i, j] = _j_equal(images[i], images[j])
-            return known[i, j]
-
+        check_cyclic_word(w)
+        images = [apply_cyclic(phi, w) for phi in PRINCIPALS]
         for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES:
-            if same(h1, h2) and not same(c1, c2):
-                c = [canonical_word(apply_cyclic(phi, w)) for phi in PRINCIPALS]
+            if _j_equal(images[h1], images[h2]) and not _j_equal(images[c1], images[c2]):
+                c = [canonical_word(u) for u in images]
                 failures.append({"word": w, "rule": rule, "images": c})
     return failures

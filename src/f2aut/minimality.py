@@ -188,7 +188,7 @@ def level_closure(start: str, row_of=_computed_row) -> list:
 def format_token(item) -> str:
     """Render a witness step: W[y,x], P[img_a,img_b], or R[k]."""
     if isinstance(item, OneLetterAut):
-        return f"W[{item.y},{item.x}]"
+        return str(item)
     if isinstance(item, Permutation):
         return f"P[{item.image_of_a},{item.image_of_b}]"
     return f"R[{int(item)}]"

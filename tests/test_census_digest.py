@@ -7,7 +7,7 @@ import pytest
 
 from f2aut.class_graph import to_dict
 from f2aut.cli import main
-from f2aut.enumeration import enumerate_classes
+from f2aut.enumeration import conjecture_report, enumerate_classes, render_conjecture_report
 
 # sha256 of the sorted --out files followed by stdout, for the command below
 CENSUS_0_11_DIGEST = "79e1757ddac7ee8cafe1829384c6af4cf44f03b5f2bc3ff861c79349d61178de"
@@ -17,6 +17,10 @@ CLASSES_13_DIGEST = "9a808a67a7b28f33da541e031547c111bcafdf00b7fd87e2a6c31f62190
 
 # the same recipe for enumerate_classes(14, workers=2)
 CLASSES_14_DIGEST = "9e800a2a6af9e2ba48b8725f09b2ebac2088e1f997082d88dc4acdb9f9af580b"
+
+# sha256 of json.dumps(report) followed by render_conjecture_report(report), for the
+# conjecture_report of the census of lengths 0..14: section (g) has rows only from n = 13
+CONJECTURES_0_14_DIGEST = "b0a7c25de414624dd5e07c18c32b60ed920ab8a5d1524c0bd2879923a8c4d293"
 
 
 def census_digest(tmp_path, capsys, workers: int) -> str:
@@ -62,3 +66,10 @@ def test_length_13_classes_are_pinned():
 
 def test_length_14_classes_are_pinned():
     assert classes_digest(14) == CLASSES_14_DIGEST
+
+
+def test_conjecture_report_0_14_is_pinned(census14):
+    tables, _ = census14
+    report = conjecture_report(tables)
+    text = json.dumps(report) + render_conjecture_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONJECTURES_0_14_DIGEST

@@ -51,6 +51,9 @@ BAD_CALLS = (
     'enumerate_minimal(-2)',
     'census([2, -1])',
     'census([3], workers=0)',
+    'enumerate_classes(True)',  # bool is an int subclass, but not a length
+    'enumerate_minimal(False)',
+    'census([3], workers=True)',
     'subword_count("abab", "")',
     'subword_count("abab", "aA")',
     'subword_count("abab", "ax")',
