@@ -52,38 +52,37 @@ def _core(word: str) -> str:
     return cyclic_reduce(word)[0]
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload: dict, text_lines=None) -> None:
+    """Print the payload as JSON, or as text: text_lines, by default a
+    key: value line per payload key (lists space-joined, dict flags yes/no)."""
     if args.format == "json":
         print(json.dumps(payload, indent=2))
-    else:
+    elif text_lines is not None:
         for line in text_lines:
             print(line)
+    else:
+        for key, value in payload.items():
+            if isinstance(value, list):
+                value = " ".join(value) if value else "(none)"
+            elif isinstance(value, dict):
+                value = " ".join(
+                    f"{k}={('no', 'yes')[v] if isinstance(v, bool) else v}" for k, v in value.items()
+                )
+            print(f"{key}: {value}")
 
 
 def cmd_minimize(args) -> int:
     core = _core(args.word)
     minimal, trace = minimize(core)
-    steps = [format_token(phi) for phi in trace]
     payload = {
         "input": args.word,
         "cyclic": core,
         "minimal": minimal,
         "canonical": canonical_word(minimal),
         "length": len(minimal),
-        "steps": steps,
+        "steps": [format_token(phi) for phi in trace],
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"input: {args.word}",
-            f"cyclic: {core}",
-            f"minimal: {minimal}",
-            f"canonical: {payload['canonical']}",
-            f"length: {payload['length']}",
-            "steps: " + (" ".join(steps) if steps else "(none)"),
-        ],
-    )
+    _emit(args, payload)
     return 0
 
 
@@ -111,32 +110,12 @@ def cmd_profile(args) -> int:
         "weight": weight(core),
         "minimal": minimal,
     }
-    lines = [
-        f"input: {args.word}",
-        f"cyclic: {core}",
-        f"length: {len(core)}",
-        f"counts: aa={pc.aa} bb={pc.bb} ab={pc.ab} ab_bar={pc.ab_bar}",
-        f"letters: a_type={a_count} b_type={b_count}",
-        f"weight: {payload['weight']}",
-        f"minimal: {minimal}",
-    ]
     if minimal:
         prof = level_profile(core)
         payload["root"] = prof.is_root
         payload["alternating"] = prof.is_alternating
-        payload["level"] = {
-            name: flag for name, flag in zip(PRINCIPAL_NAMES, prof.level_flags)
-        }
-        lines.append(f"root: {prof.is_root}")
-        lines.append(f"alternating: {prof.is_alternating}")
-        lines.append(
-            "level: "
-            + " ".join(
-                f"{name}={'yes' if flag else 'no'}"
-                for name, flag in zip(PRINCIPAL_NAMES, prof.level_flags)
-            )
-        )
-    _emit(args, payload, lines)
+        payload["level"] = dict(zip(PRINCIPAL_NAMES, prof.level_flags))
+    _emit(args, payload)
     return 0
 
 

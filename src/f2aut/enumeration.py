@@ -139,12 +139,13 @@ def _shard_prefixes(n: int) -> list:
     return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
-def _check_size(n, workers) -> None:
-    """Validate a word length and a worker count; bool is not a count."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+def _check_size(workers, *lengths) -> None:
+    """Validate a worker count and word lengths; bool is not a count."""
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    for n in lengths:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"length must be a nonnegative integer, got {n!r}")
 
 
 def _rows_by_length(lengths, workers: int):
@@ -171,7 +172,7 @@ def _rows_by_length(lengths, workers: int):
 
 def _minimal_rows(n: int, workers: int = 1) -> list:
     """All _shard_job rows for length n, in ascending vertex order."""
-    _check_size(n, workers)
+    _check_size(workers, n)
     [(_, rows)] = _rows_by_length([n], workers)
     return rows
 
@@ -242,8 +243,7 @@ def census(lengths, workers: int = 1, sink=None) -> CensusTables:
     sink, when given, is called as sink(n, records) after each length.
     """
     lengths = sorted(lengths)
-    for n in lengths:
-        _check_size(n, workers)
+    _check_size(workers, *lengths)
     tables = CensusTables({}, {g: {} for g in ("P1", "P2", "P3")}, {}, {}, {})
     with contextlib.closing(_rows_by_length(lengths, workers)) as stream:
         for n, rows in stream:

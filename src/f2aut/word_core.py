@@ -15,6 +15,7 @@ weight, m values) are rotation invariant.
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 LETTERS = "abAB"
@@ -127,18 +128,6 @@ def least_rotation(w: str) -> str:
     return w[best:] + w[:best]
 
 
-def _count_occurrences(ext: str, u: str, limit: int) -> int:
-    """Occurrences of u starting at positions 0..limit-1 of ext, overlaps allowed."""
-    count = 0
-    start = 0
-    while True:
-        i = ext.find(u, start)
-        if i < 0 or i >= limit:
-            return count
-        count += 1
-        start = i + 1
-
-
 def subword_count(w: str, u: str) -> int:
     """Occurrences of u and u^-1 in the cyclic extension of w, overlaps allowed.
 
@@ -148,15 +137,10 @@ def subword_count(w: str, u: str) -> int:
     """
     if not u or not is_reduced(check_word(u)):
         raise ValueError(f"pattern {u!r} must be a nonempty reduced word")
-    k, n = len(u), len(w)
-    if k > n:
+    if len(u) > len(w):
         return 0
-    ext = w + w[: k - 1]
-    total = _count_occurrences(ext, u, n)
-    ui = invert(u)
-    if ui != u:  # reduced words are never their own inverse; kept as a guard
-        total += _count_occurrences(ext, ui, n)
-    return total
+    # u and u^-1 differ and have one length, so at most one starts at each position
+    return len(re.findall(f"(?={u}|{invert(u)})", w + w[: len(u) - 1]))
 
 
 def pair_counts(w: str) -> SubwordCounts:

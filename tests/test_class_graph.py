@@ -1,5 +1,7 @@
 """Class graph construction, ten-shape classification, and serialization."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from f2aut.class_graph import (
     build_graph,
     classify,
     from_json,
+    to_dict,
     to_dot,
     to_json,
 )
@@ -205,6 +208,15 @@ def test_json_round_trip():
     for word, _, _ in KNOWN_CLASSES:
         g = build_graph(word)
         assert from_json(to_json(g)) == g
+
+
+def test_census_lines_read_back_as_their_graphs(census14):
+    """Every enumerate --out line of lengths 0..12 reads back as its class graph."""
+    _, records_by_length = census14
+    for records in records_by_length.values():
+        for rec in records:
+            line = json.dumps({"id": rec.class_id, **to_dict(rec.graph)})
+            assert from_json(line) == rec.graph
 
 
 def test_dot_output_shape():

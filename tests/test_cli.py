@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -17,6 +18,29 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# a non-minimal word with conjugating junk, a root word, an alternating word,
+# a one-letter class, the empty word, an unreduced word and a bad letter
+DIGEST_WORDS = ("BaabAb", "aabb", "abAB", "aab", "", "aA", "abx")
+DIGEST_PAIRS = (("abab", "aa"), ("aabb", "aaaa"), ("", ""), ("abc", "a"))
+# sha256 of json.dumps([argv, exit code, stdout, stderr]) over the argvs below
+CLI_OUTPUT_DIGEST = "63d6d7dd2a6983913a3a5ce175eeb06d6f3d5839e225838ad888415183cf25a7"
+
+
+def test_single_word_verbs_output_is_pinned(capsys):
+    argvs = [
+        [*case, "--format", fmt]
+        for fmt in ("text", "json")
+        for case in [
+            *((verb, w) for verb in ("minimize", "profile", "graph") for w in DIGEST_WORDS),
+            *(("equiv", u, v) for u, v in DIGEST_PAIRS),
+        ]
+    ]
+    digest = hashlib.sha256()
+    for argv in argvs:
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == CLI_OUTPUT_DIGEST
 
 
 def test_minimize_text(capsys):

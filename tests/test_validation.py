@@ -54,6 +54,8 @@ BAD_CALLS = (
     'enumerate_classes(True)',  # bool is an int subclass, but not a length
     'enumerate_minimal(False)',
     'census([3], workers=True)',
+    'census([], workers=0)',  # workers is checked even with no length to run
+    'census([], workers=True)',
     'subword_count("abab", "")',
     'subword_count("abab", "aA")',
     'subword_count("abab", "ax")',
@@ -87,6 +89,13 @@ BAD_CALLS = (
         ('["aaabb", "aabAb"]', '["aabAb", "aaabb"]'),  # descending
         ('["aaabb", "aabAb"]', '["aaabb", "aaabb"]'),  # a repeated vertex
         ('["aaabb", "aabAb"]', '[5, "aabAb"]'),  # not a string
+        ('"size": 2', '"size": 7'),  # a stored field that the graph does not have
+        ('"weight": 2', '"weight": 0'),
+        ('"length": 5', '"length": 6'),
+        ('"size": 2', '"size": 2.0'),  # equal as a number, not as JSON
+        ('"length": 5, ', ""),  # a missing field
+        ("[0, 1, 4]", "[0, 1, 1]"),  # an edge labelled with the wrong principal
+        ("[1, 1, 4]", "[1, 1, 2]"),
     )
 )
 
