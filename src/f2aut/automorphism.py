@@ -12,8 +12,9 @@ signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B.
 canonical_word, canonical_witness and the enumeration's mod-J filter all
 read the candidates from one generator, _rotation_keys, which yields only
-the rotations that start with a given run of a's.  _j_equal decides
-whether two words share a canonical form without computing it.
+the rotations that start with a given run of a's.  _j_equal decides whether
+two words share a canonical form without computing it.  Both translate only
+the permutation images that can match.
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ _ORDER_TABLES = tuple(
     str.maketrans({c: order_key(pi(c)) for c in LETTERS}) for pi in ALL_PERMUTATIONS
 )
 _FROM_ORDER = str.maketrans("0123", LETTERS)
+# letter c -> the tables of the two images sending c to a; the identity's comes last of all
+_TABLES_TO_A = {c: [t for t in _ORDER_TABLES[::-1] if c.translate(t) == "0"] for c in "bBAa"}
 
 
 def _longest_run(w: str) -> int:
@@ -228,20 +231,24 @@ def _rotation_keys(w: str, run: int):
     The least rotation of all the images starts with a^r, where r is the
     longest run of one letter in w, since some permutation sends that letter
     to a.  So for any run <= r the least key is among these keys, and a key
-    below a necklace's own starts with at least as many a's as the
-    necklace.  The identity image comes last, so a filter testing a
-    necklace, which no rotation of its own undercuts, meets a smaller key
-    sooner.  Callers validate w.
+    below a necklace's own starts with at least as many a's as the necklace.
+    Only the images sending a letter with a cyclic run of at least run to a
+    are translated, the identity's last, so a filter testing a necklace,
+    which no rotation of its own undercuts, meets a smaller key sooner.
+    Callers validate w.
     """
     n = len(w)
     z = "0" * run
     end = n + run - 1  # matches of z in the doubled image start below n
-    for table in _ORDER_TABLES[1:] + _ORDER_TABLES[:1]:
-        tt = w.translate(table) * 2
-        i = tt.find(z, 0, end)
-        while i != -1:
-            yield tt[i : i + n]
-            i = tt.find(z, i + 1, end)
+    ww = w + w
+    for c, tables in _TABLES_TO_A.items():
+        if c * run in ww:
+            for table in tables:
+                tt = ww.translate(table)
+                i = tt.find(z, 0, end)
+                while i != -1:
+                    yield tt[i : i + n]
+                    i = tt.find(z, i + 1, end)
 
 
 def canonical_word(w: str) -> str:
@@ -258,13 +265,16 @@ def _j_equal(u: str, v: str) -> bool:
     """canonical_word(u) == canonical_word(v), without computing either.
 
     v is a rotation of a permutation image of u exactly when some image's
-    doubled order key holds v's as a substring and the lengths agree.
-    Callers validate u and v.
+    doubled order key holds v's as a substring and the lengths agree.  Only
+    the images sending a-type (b-type) letters to a are translated, when u's
+    a-type tally is v's a-type (b-type) tally.  Callers validate u and v.
     """
     if len(u) != len(v):
         return False
+    a_u, a_v = u.count("a") + u.count("A"), v.count("a") + v.count("A")
+    to_a = ("aA" if a_u == a_v else "") + ("bB" if a_u + a_v == len(u) else "")
     key = order_key(v)
-    return any(key in u.translate(t) * 2 for t in _ORDER_TABLES)
+    return any(key in u.translate(t) * 2 for c in to_a for t in _TABLES_TO_A[c])
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:
@@ -276,8 +286,7 @@ def canonical_witness(w: str) -> tuple[str, Permutation, int]:
     check_cyclic_word(w)
     key = min(_rotation_keys(w, _longest_run(w)), default="")
     for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
-        t = w.translate(table)
-        k = (t + t).find(key)
+        k = (w + w).translate(table).find(key)
         if k != -1:
             return key.translate(_FROM_ORDER), pi, k
 

@@ -117,7 +117,14 @@ def _path_order(k, pairs):
 
 def _classify(k, edges, is_root_class, has_alternating):
     """The shape whose template some vertex order maps the (u, v) pairs of edges onto."""
-    pairs = [(u, v) for u, v, _ in edges]
+    if shape := _shape(k, tuple((u, v) for u, v, _ in edges), is_root_class, has_alternating):
+        return shape
+    raise TheoremViolation(f"UNRECOGNIZED class graph shape; edges: {sorted(edges)}")
+
+
+@lru_cache(maxsize=1024)  # a census meets a few dozen edge patterns
+def _shape(k, pairs, is_root_class, has_alternating):
+    """_classify of one edge pattern, worked out once; None when no template fits."""
     if all(0 <= u < k and 0 <= v < k for u, v in pairs):
         if is_root_class:
             shapes = _ROOT_SHAPES.get((has_alternating, k), {})
@@ -130,7 +137,6 @@ def _classify(k, edges, is_root_class, has_alternating):
             shape = shapes.get(tuple(sorted((order[u], order[v]) for u, v in pairs)))
             if shape:
                 return shape
-    raise TheoremViolation(f"UNRECOGNIZED class graph shape; edges: {sorted(edges)}")
 
 
 def classify(g: ClassGraph) -> str:

@@ -137,7 +137,7 @@ def subword_count(w: str, u: str) -> int:
     """
     if not u or not is_reduced(check_word(u)):
         raise ValueError(f"pattern {u!r} must be a nonempty reduced word")
-    if len(u) > len(w):
+    if len(u) > len(check_cyclic_word(w)):
         return 0
     # u and u^-1 differ and have one length, so at most one starts at each position
     return len(re.findall(f"(?={u}|{invert(u)})", w + w[: len(u) - 1]))
@@ -202,7 +202,7 @@ def m_value(w: str, x: str, y: str):
     """
     if x not in _INV or y not in _INV or y in (x, _INV[x]):
         raise ValueError(f"x={x!r}, y={y!r}: both must be letters, y not x or its inverse")
-    n = len(w)
+    n = len(check_cyclic_word(w))
     for i in range(n + 1):
         u = y + x * i + y
         if len(u) > n:

@@ -17,6 +17,7 @@ from f2aut.automorphism import (
     Permutation,
     WhiteheadII,
     _j_equal,
+    _rotation_keys,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
@@ -239,6 +240,36 @@ def test_j_equal_matches_canonical_equality(u, data):
     assert _j_equal(u, v) == _j_equal(v, u) == expected
 
 
+DIGITS = str.maketrans("abAB", "0123")  # the a < b < A < B order
+
+
+def rotation_runs(w):
+    """(order key, count of the a's that start r + r) of each rotation r of the 8 images of w."""
+    rotations = [r for d in orc.PERM_DICTS for r in orc.o_rotations(orc.o_perm(d, w))]
+    return [(r.translate(DIGITS), 2 * len(r) - len((r + r).lstrip("a"))) for r in rotations]
+
+
+def keys_starting_with_run(rotations, run):
+    return sorted(key for key, lead in rotations if lead >= run)
+
+
+def test_rotation_keys_on_every_short_word():
+    for n in range(9):
+        for w in orc.cyclic_words(n):
+            rotations = rotation_runs(w)
+            for run in range(n + 2):
+                expected = keys_starting_with_run(rotations, run)
+                assert sorted(_rotation_keys(w, run)) == expected, (w, run)
+
+
+@given(st.one_of(cyclic_reduced_words(min_size=30, max_size=30), run_heavy_words()), st.data())
+def test_rotation_keys_match_brute_force(w, data):
+    rotations = rotation_runs(w)
+    longest = max(lead for _, lead in rotations)
+    run = data.draw(st.integers(0, min(longest, len(w)) + 1))
+    assert sorted(_rotation_keys(w, run)) == keys_starting_with_run(rotations, run)
+
+
 def test_j_equal_examples():
     assert _j_equal("", "")
     assert not _j_equal("", "a") and not _j_equal("a", "")
@@ -246,6 +277,10 @@ def test_j_equal_examples():
     assert _j_equal("aabAb", "BABaa")  # rotated b <-> B image
     assert not _j_equal("aabb", "abaB")  # one class graph, two vertices
     assert not _j_equal("aabb", "aabbaabb")
+    assert _j_equal("aab", "abb")  # swapped tallies: a type-swapping image
+    assert _j_equal("aabABB", "bbaBAA")  # tally n/2, reached only by a type-swapping image
+    assert _j_equal("aabABB", "aabABB")  # tally n/2, reached only by type-keeping images
+    assert not _j_equal("aabb", "aaab")  # equal lengths, no tally matches
 
 
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))

@@ -59,6 +59,9 @@ BAD_CALLS = (
     'subword_count("abab", "")',
     'subword_count("abab", "aA")',
     'subword_count("abab", "ax")',
+    'subword_count("xyz", "a")',  # the word, not the pattern, is bad
+    'subword_count("aAb", "ab")',
+    'm_value("xbxb", "a", "b")',
     'm_value("aab", "a", "a")',
     'm_value("aab", "a", "A")',
     'm_value("aab", "x", "b")',
