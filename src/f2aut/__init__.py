@@ -9,7 +9,6 @@ it into one of ten shapes, and enumerates all classes by length.
 from .automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
-    IDENTITY_PERM,
     PRINCIPALS,
     OneLetterAut,
     Permutation,
@@ -28,7 +27,6 @@ from .class_graph import (
     GRAPH_TYPES,
     ClassGraph,
     TheoremViolation,
-    alternating_vertex,
     build_graph,
     classify,
     from_json,
@@ -48,14 +46,12 @@ from .enumeration import (
     render_conjecture_report,
 )
 from .minimality import (
-    LevelProfile,
     are_conjugate,
     format_token,
     image_length,
     is_level,
     is_minimal,
     is_root,
-    level_profile,
     minimize,
     parse_token,
     principal_deltas,
@@ -63,7 +59,6 @@ from .minimality import (
 )
 from .word_core import (
     SubwordCounts,
-    all_rotations,
     check_cyclic_word,
     check_word,
     cyclic_reduce,
@@ -75,7 +70,6 @@ from .word_core import (
     is_reduced,
     least_rotation,
     letter_tally,
-    m_value,
     order_key,
     pair_counts,
     rotate,

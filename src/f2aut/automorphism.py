@@ -31,6 +31,8 @@ from .word_core import (
     order_key,
 )
 
+_LETTER_SET = frozenset(LETTERS)  # membership; "x in LETTERS" would accept "", "ab", "bA"
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -41,7 +43,7 @@ class Permutation:
 
     def __post_init__(self):
         a, b = self.image_of_a, self.image_of_b
-        if a not in LETTERS or b not in LETTERS or {a.lower(), b.lower()} != {"a", "b"}:
+        if a not in _LETTER_SET or b not in _LETTER_SET or {a.lower(), b.lower()} != {"a", "b"}:
             raise ValueError(f"P[{a},{b}]: the images must be letters covering both generators")
 
     @property
@@ -50,10 +52,6 @@ class Permutation:
 
     def __call__(self, w: str) -> str:
         return w.translate(self.table)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
-        return Permutation(self(other.image_of_a), self(other.image_of_b))
 
     def inverse(self) -> "Permutation":
         inv_a = next(c for c in LETTERS if self(c) == "a")
@@ -75,8 +73,6 @@ ALL_PERMUTATIONS = tuple(
     for img_b in (("b", "B") if img_a in "aA" else ("a", "A"))
 )
 
-IDENTITY_PERM = ALL_PERMUTATIONS[0]
-
 
 @dataclass(frozen=True)
 class WhiteheadII:
@@ -87,7 +83,7 @@ class WhiteheadII:
 
     def __post_init__(self):
         x = self.x
-        if x not in LETTERS or not self.members <= set(LETTERS) - {x, inverse_letter(x)}:
+        if x not in _LETTER_SET or not self.members <= _LETTER_SET - {x, inverse_letter(x)}:
             raise ValueError("members must be letters other than the multiplier and its inverse")
 
     def letter_image(self, u: str) -> str:
@@ -116,7 +112,7 @@ class OneLetterAut:
 
     def __post_init__(self):
         y, x = self.y, self.x
-        if y not in LETTERS or x not in LETTERS or y in (x, inverse_letter(x)):
+        if y not in _LETTER_SET or x not in _LETTER_SET or y in (x, inverse_letter(x)):
             raise ValueError(f"W[{y},{x}]: y and x must be letters, y not x or its inverse")
 
     def as_whitehead(self) -> WhiteheadII:
@@ -298,7 +294,7 @@ def triangle_decompose(x: str, y: str):
     right-hand side as applicable automorphism values, outermost first.
     Both sides agree as maps on every word, which the tests verify.
     """
-    if x not in LETTERS or y not in LETTERS:
+    if x not in _LETTER_SET or y not in _LETTER_SET:
         raise ValueError("letters must be one of 'a', 'b', 'A', 'B'")
     if y in (x, inverse_letter(x)):
         raise ValueError("y must not be x or its inverse")

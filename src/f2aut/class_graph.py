@@ -28,7 +28,6 @@ from .word_core import (
     TheoremViolation,
     check_word,
     cyclic_reduce,
-    is_alternating,
     order_key,
     weight,
 )
@@ -142,16 +141,6 @@ def _shape(k, pairs, is_root_class, has_alternating):
 def classify(g: ClassGraph) -> str:
     """Recompute the shape from the stored structure."""
     return _classify(len(g.vertices), g.edges, g.is_root_class, g.has_alternating)
-
-
-def alternating_vertex(g: ClassGraph):
-    """Index of the unique alternating vertex, or None."""
-    hits = [i for i, w in enumerate(g.vertices) if is_alternating(w)]
-    if len(hits) > 1:
-        raise TheoremViolation(
-            f"two alternating vertices in one class: {[g.vertices[i] for i in hits]}"
-        )
-    return hits[0] if hits else None
 
 
 def to_dict(g: ClassGraph) -> dict:

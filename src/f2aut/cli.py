@@ -32,15 +32,15 @@ from .enumeration import (
 from .minimality import (
     are_conjugate,
     format_token,
-    is_minimal,
-    level_profile,
     minimize,
+    principal_deltas,
 )
 from .word_core import (
     check_word,
     cyclic_reduce,
     letter_tally,
     pair_counts,
+    vertex_flags,
     weight,
 )
 
@@ -100,7 +100,8 @@ def cmd_profile(args) -> int:
     core = _core(args.word)
     pc = pair_counts(core)
     a_count, b_count = letter_tally(core)
-    minimal = is_minimal(core)
+    deltas = principal_deltas(a_count, b_count, pc)
+    minimal = min(deltas) >= 0
     payload = {
         "input": args.word,
         "cyclic": core,
@@ -111,10 +112,8 @@ def cmd_profile(args) -> int:
         "minimal": minimal,
     }
     if minimal:
-        prof = level_profile(core)
-        payload["root"] = prof.is_root
-        payload["alternating"] = prof.is_alternating
-        payload["level"] = dict(zip(PRINCIPAL_NAMES, prof.level_flags))
+        payload["root"], payload["alternating"] = vertex_flags(len(core), pc)
+        payload["level"] = {name: d == 0 for name, d in zip(PRINCIPAL_NAMES, deltas)}
     _emit(args, payload)
     return 0
 
@@ -128,13 +127,12 @@ def cmd_graph(args) -> int:
     elif args.format == "dot":
         print(to_dot(g))
     else:
-        print(f"type: {g.gtype}")
-        print(f"size: {len(g.vertices)}")
-        print(f"root: {g.is_root_class}")
-        print(f"alternating: {g.has_alternating}")
-        for i, v in enumerate(g.vertices):
+        payload = to_dict(g)
+        for key in ("type", "size", "root", "alternating"):
+            print(f"{key}: {payload[key]}")
+        for i, v in enumerate(payload["vertices"]):
             print(f"vertex v{i}: {v}")
-        for u, v, p in g.edges:
+        for u, v, p in payload["edges"]:
             print(f"edge: v{u} -> v{v} [{p}]")
     return 0
 

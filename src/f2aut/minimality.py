@@ -25,8 +25,6 @@ reduced second word exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automorphism import (
     OneLetterAut,
     PRINCIPALS,
@@ -42,22 +40,11 @@ from .word_core import (
     check_cyclic_word,
     check_word,
     cyclic_reduce,
-    is_alternating,
     letter_tally,
     pair_counts,
     rotate,
     vertex_flags,
 )
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-principal level flags plus the three word predicates."""
-
-    level_flags: tuple
-    is_minimal: bool
-    is_root: bool
-    is_alternating: bool
 
 
 def principal_deltas(a_count: int, b_count: int, pc) -> tuple:
@@ -84,10 +71,6 @@ def is_root(w: str) -> bool:
     """The boundary case of minimality (see vertex_flags); never a single letter."""
     check_cyclic_word(w)
     return vertex_flags(len(w), pair_counts(w))[0]
-
-
-def is_alternating_minimal(w: str) -> bool:
-    return is_alternating(w) and is_minimal(w)
 
 
 def image_length(phi: OneLetterAut, w: str) -> int:
@@ -128,16 +111,6 @@ def minimize(w: str) -> tuple[str, tuple]:
     check_cyclic_word(w)
     states, trace = _minimize_states(w)
     return states[-1], trace
-
-
-def level_profile(w: str) -> LevelProfile:
-    """Level flags for the four principals plus the word predicates."""
-    check_cyclic_word(w)
-    pc = pair_counts(w)
-    deltas = principal_deltas(*letter_tally(w), pc)
-    if min(deltas) < 0:
-        raise ValueError(f"level_profile requires a minimal word, got {w!r}")
-    return LevelProfile(tuple(d == 0 for d in deltas), True, *vertex_flags(len(w), pc))
 
 
 # --- class graph rows ----------------------------------------------------

@@ -9,12 +9,11 @@ A Word is a freely reduced string (no letter adjacent to its inverse).
 A CyclicWord is a Word whose last letter is also not the inverse of its
 first letter; it represents the whole rotation class but keeps whichever
 rotation it was built with.  All statistics defined here (subword counts,
-weight, m values) are rotation invariant.
+pair counts, weight) are rotation invariant.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import NamedTuple
 
@@ -114,10 +113,6 @@ def rotate(w: str, k: int) -> str:
     return w[k:] + w[:k]
 
 
-def all_rotations(w: str) -> list[str]:
-    return [rotate(w, k) for k in range(max(len(w), 1))]
-
-
 def least_rotation(w: str) -> str:
     """Lexicographically least rotation in the order a < b < A < B."""
     n = len(w)
@@ -193,20 +188,3 @@ def is_alternating(w: str) -> bool:
     """True when no generator square occurs cyclically (see vertex_flags)."""
     return vertex_flags(len(w), pair_counts(w))[1]
 
-
-def m_value(w: str, x: str, y: str):
-    """Least i >= 0 such that the pattern y x^i y occurs cyclically in w.
-
-    Returns math.inf when no such i exists; the scan stops at i = len(w)
-    since longer patterns cannot occur.
-    """
-    if x not in _INV or y not in _INV or y in (x, _INV[x]):
-        raise ValueError(f"x={x!r}, y={y!r}: both must be letters, y not x or its inverse")
-    n = len(check_cyclic_word(w))
-    for i in range(n + 1):
-        u = y + x * i + y
-        if len(u) > n:
-            break
-        if subword_count(w, u) >= 1:
-            return i
-    return math.inf

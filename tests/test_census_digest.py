@@ -12,6 +12,9 @@ from f2aut.enumeration import conjecture_report, enumerate_classes, render_conje
 # sha256 of the sorted --out files followed by stdout, for the command below
 CENSUS_0_11_DIGEST = "79e1757ddac7ee8cafe1829384c6af4cf44f03b5f2bc3ff861c79349d61178de"
 
+# the same recipe for lengths 0..14 on two workers with text stdout
+CENSUS_0_14_TREE_DIGEST = "caa19d747707260881e2332593082089c0b35bd7badbcacc8d4a6f1a5c997852"
+
 # sha256 of the classes_13.jsonl lines, {"id", **to_dict}, of enumerate_classes(13, workers=2)
 CLASSES_13_DIGEST = "9a808a67a7b28f33da541e031547c111bcafdf00b7fd87e2a6c31f62190769bc"
 
@@ -23,19 +26,19 @@ CLASSES_14_DIGEST = "9e800a2a6af9e2ba48b8725f09b2ebac2088e1f997082d88dc4acdb9f9a
 CONJECTURES_0_14_DIGEST = "b0a7c25de414624dd5e07c18c32b60ed920ab8a5d1524c0bd2879923a8c4d293"
 
 
-def census_digest(tmp_path, capsys, workers: int) -> str:
+def census_digest(tmp_path, capsys, workers: int, lengths="0..11", fmt="json") -> str:
     out = tmp_path / f"out{workers}"
     rc = main(
         [
             "enumerate",
             "--lengths",
-            "0..11",
+            lengths,
             "--workers",
             str(workers),
             "--check-conjectures",
             "--scan-coincidences",
             "--format",
-            "json",
+            fmt,
             "--out",
             str(out),
         ]
@@ -51,6 +54,10 @@ def census_digest(tmp_path, capsys, workers: int) -> str:
 @pytest.mark.parametrize("workers", (1, 2))
 def test_census_digest_is_pinned(tmp_path, capsys, workers):
     assert census_digest(tmp_path, capsys, workers) == CENSUS_0_11_DIGEST
+
+
+def test_census_0_14_tree_is_pinned(tmp_path, capsys):
+    assert census_digest(tmp_path, capsys, 2, "0..14", "text") == CENSUS_0_14_TREE_DIGEST
 
 
 def classes_digest(n: int) -> str:

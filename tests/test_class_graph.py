@@ -12,7 +12,6 @@ from f2aut.automorphism import PRINCIPALS, apply_cyclic, canonical_word
 from f2aut.class_graph import (
     ClassGraph,
     TheoremViolation,
-    alternating_vertex,
     build_graph,
     classify,
     from_json,
@@ -21,7 +20,7 @@ from f2aut.class_graph import (
     to_json,
 )
 from f2aut.enumeration import enumerate_classes
-from f2aut.minimality import is_level, level_profile
+from f2aut.minimality import is_level, is_root
 from f2aut.word_core import is_alternating, order_key, weight
 
 # one frozen example per shape, with the full expected vertex set
@@ -199,14 +198,6 @@ def test_classify_agrees_with_shape_oracle(case):
         assert classify(g) == expected
 
 
-def test_alternating_vertex_lookup():
-    assert alternating_vertex(build_graph("abAB")) == 0
-    assert alternating_vertex(build_graph("aaaa")) is None
-    g = build_graph("aabb")
-    idx = alternating_vertex(g)
-    assert g.vertices[idx] == "abaB"
-
-
 def test_json_round_trip():
     for word, _, _ in KNOWN_CLASSES:
         g = build_graph(word)
@@ -243,8 +234,6 @@ def test_enumerated_graphs_are_consistent():
             # at most one alternating vertex
             assert sum(1 for v in g.vertices if is_alternating(v)) <= 1
             # vertex profiles agree with the stored flags
-            assert g.is_root_class == any(
-                level_profile(v).is_root for v in g.vertices
-            )
+            assert g.is_root_class == any(is_root(v) for v in g.vertices)
             arcs = {(u, v) for u, v, _ in g.edges}
             assert all((v, u) in arcs for u, v in arcs)

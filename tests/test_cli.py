@@ -1,6 +1,7 @@
 """Command line interface, exercised through main(argv)."""
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,10 +9,15 @@ import json
 import os
 
 import pytest
+from hypothesis import given
 
 import oracles as orc
+from conftest import cyclic_reduced_words
+from f2aut.automorphism import PRINCIPALS
 from f2aut.class_graph import build_graph, from_json
 from f2aut.cli import PRINCIPAL_NAMES, _resolve_workers, main
+from f2aut.minimality import is_level, is_minimal, is_root
+from f2aut.word_core import is_alternating
 
 
 def run(capsys, *argv):
@@ -114,6 +120,23 @@ def test_profile_minimal_word(capsys):
     assert payload["root"] is True
     assert payload["alternating"] is False
     assert set(payload["level"]) == set(PRINCIPAL_NAMES)
+
+
+@given(cyclic_reduced_words(max_size=10))
+def test_profile_level_flags_match_pointwise_predicates(w):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["profile", w, "--format", "json"]) == 0
+    payload = json.loads(out.getvalue())
+    assert payload["minimal"] == is_minimal(w)
+    if not payload["minimal"]:
+        assert "level" not in payload
+        return
+    assert payload["level"] == {
+        name: is_level(phi, w) for name, phi in zip(PRINCIPAL_NAMES, PRINCIPALS)
+    }
+    assert payload["root"] == is_root(w)
+    assert payload["alternating"] == is_alternating(w)
 
 
 def test_graph_text(capsys):

@@ -14,14 +14,12 @@ from f2aut.automorphism import (
     ALL_PERMUTATIONS,
     OneLetterAut,
     Permutation,
-    PRINCIPALS,
     apply_cyclic,
     apply_whitehead,
     canonical_word,
 )
 from f2aut.class_graph import build_graph, to_dict
 from f2aut.minimality import (
-    LevelProfile,
     _rotation_aligning,
     apply_token,
     are_conjugate,
@@ -30,9 +28,7 @@ from f2aut.minimality import (
     is_level,
     is_minimal,
     is_root,
-    is_alternating_minimal,
     level_closure,
-    level_profile,
     minimize,
     parse_token,
     replay_witness,
@@ -82,13 +78,6 @@ def test_is_root_examples():
     assert not is_root("aabab")
 
 
-def test_is_alternating_minimal_examples():
-    assert is_alternating_minimal("abAB")
-    assert not is_alternating_minimal("ab")  # alternating but not minimal
-    assert not is_alternating_minimal("aabb")  # minimal but not alternating
-    assert not is_alternating_minimal("a")
-
-
 @given(one_letter_auts, cyclic_reduced_words())
 def test_image_length_matches_actual_image(phi, w):
     assert image_length(phi, w) == len(apply_cyclic(phi, w))
@@ -135,27 +124,6 @@ def test_minimize_reaches_a_minimal_word_with_replayable_trace(w):
     assert cur == word
     if is_minimal(w):
         assert (word, trace) == (w, ())
-
-
-def test_level_profile_fields_and_rejection():
-    prof = level_profile("abAB")
-    assert isinstance(prof, LevelProfile)
-    assert prof.is_minimal and prof.is_root and prof.is_alternating
-    assert prof.level_flags == (True, True, True, True)
-    prof = level_profile("aaaa")
-    assert prof.level_flags == (False, False, True, True)
-    assert not prof.is_root and not prof.is_alternating
-    with pytest.raises(ValueError):
-        level_profile("aab")
-
-
-@given(cyclic_reduced_words(max_size=10))
-def test_level_profile_matches_pointwise_predicates(w):
-    if not is_minimal(w):
-        return
-    prof = level_profile(w)
-    assert prof.level_flags == tuple(is_level(phi, w) for phi in PRINCIPALS)
-    assert prof.is_root == is_root(w)
 
 
 @given(cyclic_reduced_words(max_size=10))

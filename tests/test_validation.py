@@ -39,6 +39,12 @@ BAD_CALLS = (
     'WhiteheadII(frozenset({"b"}), "b")',
     'WhiteheadII(frozenset({"c"}), "b")',
     'WhiteheadII(frozenset(), "c")',
+    'OneLetterAut("ab", "B")',  # a substring of "abAB" is not a letter
+    'OneLetterAut("", "b")',
+    'parse_token("W[ab,B]")',
+    'replay_witness("ab", ["W[,b]"])',
+    'WhiteheadII(frozenset(), "ab")',
+    'triangle_decompose("ab", "B")',
     'is_minimal("aA")',
     'is_root("abB")',
     'minimize("Aa")',
@@ -61,10 +67,6 @@ BAD_CALLS = (
     'subword_count("abab", "ax")',
     'subword_count("xyz", "a")',  # the word, not the pattern, is bad
     'subword_count("aAb", "ab")',
-    'm_value("xbxb", "a", "b")',
-    'm_value("aab", "a", "a")',
-    'm_value("aab", "a", "A")',
-    'm_value("aab", "x", "b")',
     'image_length(PRINCIPALS[0], "aA")',
     'from_json("{}")',
     'from_json("[]")',

@@ -1,7 +1,5 @@
 """Letters, reduction, rotation, and cyclic subword counting."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from conftest import cyclic_reduced_words, raw_words, reduced_words, run_heavy_w
 from f2aut.word_core import (
     LETTERS,
     SubwordCounts,
-    all_rotations,
     check_word,
     cyclic_reduce,
     free_reduce,
@@ -22,7 +19,6 @@ from f2aut.word_core import (
     is_reduced,
     least_rotation,
     letter_tally,
-    m_value,
     order_key,
     pair_counts,
     rotate,
@@ -124,8 +120,7 @@ def test_rotate_and_all_rotations_examples():
     assert rotate("ab", 3) == "ba"
     assert rotate("ab", -1) == "ba"
     assert rotate("", 5) == ""
-    assert all_rotations("") == [""]
-    assert all_rotations("aab") == ["aab", "aba", "baa"]
+    assert [rotate("aab", k) for k in range(3)] == orc.o_rotations("aab")
 
 
 @given(cyclic_reduced_words(min_size=1), st.integers(-10, 10))
@@ -133,7 +128,7 @@ def test_rotations_preserve_cyclic_words(w, k):
     r = rotate(w, k)
     assert is_cyclic_word(r)
     assert len(r) == len(w)
-    assert r in all_rotations(w)
+    assert r in orc.o_rotations(w)
     assert rotate(r, -k) == w
 
 
@@ -141,7 +136,7 @@ def test_rotations_preserve_cyclic_words(w, k):
 def test_least_rotation_matches_oracle(w):
     lr = least_rotation(w)
     assert lr == orc.o_least_rotation(w)
-    assert all(order_key(lr) <= order_key(r) for r in all_rotations(w))
+    assert all(order_key(lr) <= order_key(r) for r in orc.o_rotations(w))
 
 
 def test_subword_count_known_values():
@@ -238,26 +233,3 @@ def test_is_alternating_examples():
     assert is_alternating("ab")
     assert is_alternating("abAB")
     assert not is_alternating("aabb")
-
-
-def test_m_value_examples():
-    assert m_value("aabb", "a", "b") == 0
-    assert m_value("abab", "a", "b") == 1
-    assert m_value("aabab", "a", "b") == 1
-    assert m_value("aaba", "a", "b") == math.inf  # only one b-type letter
-    assert m_value("aaaa", "a", "b") == math.inf
-    with pytest.raises(ValueError):
-        m_value("ab", "a", "a")
-    with pytest.raises(ValueError):
-        m_value("ab", "a", "A")
-
-
-@given(cyclic_reduced_words(min_size=1, max_size=10))
-def test_m_value_definition(w):
-    # least i with (b a^i b)_w >= 1, scanning the definition directly
-    expected = math.inf
-    for i in range(len(w)):
-        if orc.o_count(w, "b" + "a" * i + "b") >= 1:
-            expected = i
-            break
-    assert m_value(w, "a", "b") == expected
