@@ -19,6 +19,7 @@ the permutation images that can match.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,7 @@ from .word_core import (
     cyclic_reduce,
     free_reduce,
     inverse_letter,
+    is_cyclic_word,
     order_key,
 )
 
@@ -176,19 +178,75 @@ def apply_whitehead(phi: WhiteheadII, w: str) -> str:
     return free_reduce("".join(phi.letter_image(c) for c in w))
 
 
-def apply_cyclic(phi, w: str) -> str:
+def apply_cyclic(phi, w: str, k: int = 1) -> str:
     """Image of a cyclic word: letterwise map, then free and cyclic reduction.
 
     Accepts a OneLetterAut (fast path) or any WhiteheadII.  The length of
-    the result is the quantity all level and minimality tests compare.
+    the result is the quantity all level and minimality tests compare.  A
+    OneLetterAut may be applied k >= 1 times at once: the result is the
+    string k successive calls return, computed in one pass over w.
     """
     if isinstance(phi, OneLetterAut):
         # On a reduced w the only pairs y -> yx, Y -> XY can cancel are the new
         # xX, and deleting them leaves none; cyclic_reduce finishes other input
         y, x = phi.y, phi.x
         Y, X = inverse_letter(y), inverse_letter(x)
+        if k != 1:
+            return _power_image(phi, w, k)
         return cyclic_reduce(w.replace(y, y + x).replace(Y, X + Y).replace(x + X, ""))[0]
+    if k != 1:
+        raise ValueError("only a one-letter automorphism is applied as a power")
     return cyclic_reduce(apply_whitehead(phi, w))[0]
+
+
+def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
+    """The string k successive apply_cyclic(phi, .) calls return, in one pass.
+
+    Write phi = ({y}, x).  On a cyclic word the y-type letters never cancel,
+    so only the x-exponents of the gaps between them move, each by k times
+    its one-step change: +k between two y's, -k between two Y's, 0 between
+    a y and a Y.  At the ends of the string a step takes an x from the head
+    when the first y-type letter is Y, gives one to the tail when the last
+    is y, and cyclic_reduce then cancels x's against X's across the ends;
+    k steps do the same with k letters at once.
+    """
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"{phi}^{k}: the power must be a positive integer")
+    if not is_cyclic_word(w):  # one step makes it one
+        return apply_cyclic(phi, apply_cyclic(phi, w), k - 1)
+    y, x = phi.y, phi.x
+    Y, X = inverse_letter(y), inverse_letter(x)
+    first = [i for i in (w.find(y), w.find(Y)) if i != -1]
+    if not first:
+        return w
+    i, j = min(first), max(w.rfind(y), w.rfind(Y)) + 1
+    core = _shift_gaps(_shift_gaps(w[i:j], y, x, X, k), Y, X, x, k)
+    h = -i if w[:1] == X else i  # exponents of the x-syllables before i and from j
+    t = j - len(w) if w[-1] == X else len(w) - j
+    h, t = _cancel_ends(h - k * (w[i] == Y), t)
+    h, t = _cancel_ends(h, t + k * (w[j - 1] == y))
+    return (x * h or X * -h) + core + (x * t or X * -t)
+
+
+def _shift_gaps(s: str, u: str, up: str, down: str, k: int) -> str:
+    """Raise by k the exponent of up in every gap between two letters u of s."""
+    pieces = s.split(u)
+    if len(pieces) < 3:
+        return s
+    inner = pieces[1:-1]  # the pieces between two u's; only gaps of up's or down's move
+    shifted = {}
+    for gap in filter(re.compile(f"{up}*|{down}+").fullmatch, set(inner)):
+        e = k - len(gap) if gap[:1] == down else k + len(gap)
+        shifted[gap] = up * e or down * -e
+    return u.join([pieces[0], *map(shifted.get, inner, inner), pieces[-1]])
+
+
+def _cancel_ends(h: int, t: int) -> tuple[int, int]:
+    """Exponents of x^h ... x^t once x's and X's cancel across the ends."""
+    if h * t >= 0:
+        return h, t
+    c = min(h, -t) if h > 0 else max(h, -t)
+    return h - c, t + c
 
 
 # letter -> order digit of its image, one table per ALL_PERMUTATIONS entry

@@ -11,6 +11,15 @@ pattern counts:
 and ({y}, x) preserves the cyclic length of w (is "level" on w) exactly
 when (y x^-1)_w = (yx)_w + (yy)_w, for len(w) >= 2.
 
+The greedy reduction (minimize) applies the lowest-indexed principal that
+shrinks the word, and works one run of a principal at a time.  On a^k b
+pushed up by one principal the same principal repeats thousands of times.
+After j steps of ({y}, x) every delta is an affine function of j until an
+x-syllable between two y-type letters reaches 0, so _run_length finds
+where a run ends by division, and apply_cyclic takes the rest of the run
+as one power step in one pass over the word.  Only the words at run
+boundaries are kept.
+
 vertex_row is the one map from a vertex of a class graph to its level
 edges, and level_closure is the one way a class is found: it collects the
 rows of one class breadth-first.  build_graph and are_conjugate compute
@@ -18,12 +27,16 @@ each row; the enumeration reads them from the rows of its scan.
 
 are_conjugate decides whether two words lie in the same automorphic
 conjugacy class and can produce a replayable witness: a token sequence
-(one-letter automorphisms, signed permutations, rotations) that transforms
-the cyclically reduced first word, step by step, into the cyclically
-reduced second word exactly.
+(one-letter automorphisms and their powers, signed permutations,
+rotations) that transforms the cyclically reduced first word, step by
+step, into the cyclically reduced second word exactly.  Each greedy run
+of k >= 2 steps is one token W[y,x]^k on either reduction leg.
 """
 
 from __future__ import annotations
+
+import re
+from collections import Counter
 
 from .automorphism import (
     OneLetterAut,
@@ -40,6 +53,7 @@ from .word_core import (
     check_cyclic_word,
     check_word,
     cyclic_reduce,
+    inverse_letter,
     letter_tally,
     pair_counts,
     rotate,
@@ -87,18 +101,97 @@ def is_level(phi: OneLetterAut, w: str) -> bool:
     return image_length(phi, w) == len(w)
 
 
+def _run_length(p: int, w: str, pc, deltas) -> int:
+    """How many greedy steps in a row apply PRINCIPALS[p] to w, without applying it.
+
+    w has pair_counts pc and principal_deltas deltas, and the greedy rule
+    picks p on w.  Write phi = ({y}, x).  After j steps of phi the x-exponent
+    of the gap between two y's is e + j, between two Y's e - j, and between
+    a y and a Y still e (see _power_image).  Until the next gap reaches 0 or
+    leaves it, the (ab) and (a b^-1) counts stay put and the x-type tally
+    is affine in j, its slope phi's own delta, so every delta is affine in
+    j.  One such regime at a time, the first j at which phi stops shrinking
+    or a lower-indexed principal starts to is found by division.
+    """
+    phi = PRINCIPALS[p]
+    y, x = phi.y, phi.x
+    Y, X = inverse_letter(y), inverse_letter(x)
+    events = {}
+
+    def move(j, n, pair, slope=0):
+        # at step j, n gaps gain the two digraphs in pair (lose them if n < 0)
+        # and phi's delta rises by slope
+        ev = events.setdefault(j, [0, 0, 0])
+        ev[0] += n * sum(d in ("ab", "BA") for d in pair)
+        ev[1] += n * sum(d in ("aB", "bA") for d in pair)
+        ev[2] += slope
+
+    for u, up, down in ((y, x, X), (Y, X, x)):  # a step adds one up to each gap u...u
+        i = w.find(u)
+        if i == -1:
+            continue
+        gaps = Counter((w[i + 1 :] + w[:i]).split(u))  # the cyclic gaps between two u's
+        for gap in filter(re.compile(f"{down}*").fullmatch, gaps):
+            # a gap of down's empties at step len(gap), where phi stops
+            # shrinking it, and holds up's from the step after; so does an
+            # empty gap from step 1
+            if gap:
+                move(len(gap), -gaps[gap], (u + down, down + u), 2 * gaps[gap])
+            move(len(gap) + 1, gaps[gap], (u + up, up + u))
+    tallies = list(letter_tally(w))
+    xt = 1 if y == "a" else 0  # the x-type tally, the one phi changes
+    ab, ab_bar, slope = pc.ab, pc.ab_bar, deltas[p]
+    lo = 0
+    for hi in [*sorted(events), None]:
+        d = principal_deltas(*tallies, pc._replace(ab=ab, ab_bar=ab_bar))
+        if d[p] != slope:
+            raise TheoremViolation(f"run of {phi} on {w!r}: delta {d[p]} at step {lo}, not {slope}")
+        if d[p] >= 0 or min(d[:p], default=0) < 0:
+            return lo
+        # deltas over the x-type tally fall with it, the others hold
+        end = min((lo + d[q] // -slope + 1 for q in range(p) if q // 2 != p // 2), default=None)
+        if end is not None and (hi is None or end < hi):
+            return end
+        if hi is None:
+            raise TheoremViolation(f"{phi} shortens {w!r} without end")
+        tallies[xt] += slope * (hi - lo)
+        ab, ab_bar, slope = ab + events[hi][0], ab_bar + events[hi][1], slope + events[hi][2]
+        lo = hi
+
+
+def _shrinking(w: str) -> tuple:
+    """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
+    index p of the principal the greedy rule applies to w, or None."""
+    pc = pair_counts(w)
+    deltas = principal_deltas(*letter_tally(w), pc)
+    return next((q for q, delta in enumerate(deltas) if delta < 0), None), pc, deltas
+
+
 def _minimize_states(w: str):
-    """Greedy reduction recording every intermediate word, start included."""
-    states, trace = [w], []
-    while True:
-        deltas = principal_deltas(*letter_tally(states[-1]), pair_counts(states[-1]))
-        for phi, delta in zip(PRINCIPALS, deltas):
-            if delta < 0:
-                states.append(apply_cyclic(phi, states[-1]))
-                trace.append(phi)
-                break
-        else:
-            return states, tuple(trace)
+    """Greedy reduction by runs of one principal: the words at run
+    boundaries, start included, and the runs (phi, k) taken.
+
+    A run's first two steps are taken singly.  When the rule picks the same
+    principal a third time, _run_length gives the rest of the run, which is
+    taken as one power step.  Most runs on random words are one or two
+    steps long, and finding a run length costs about one step.
+    """
+    states, runs = [w], []
+    p = _shrinking(w)[0]
+    while p is not None:
+        phi, cur, k, q = PRINCIPALS[p], states[-1], 0, p
+        while q == p and k < 2:
+            cur = apply_cyclic(phi, cur)
+            q, pc, deltas = _shrinking(cur)
+            k += 1
+        if q == p:
+            j = _run_length(p, cur, pc, deltas)
+            cur = apply_cyclic(phi, cur, j)
+            q, k = _shrinking(cur)[0], k + j
+        states.append(cur)
+        runs.append((phi, k))
+        p = q
+    return states, runs
 
 
 def minimize(w: str) -> tuple[str, tuple]:
@@ -109,8 +202,8 @@ def minimize(w: str) -> tuple[str, tuple]:
     and the trace of automorphisms applied, in application order.
     """
     check_cyclic_word(w)
-    states, trace = _minimize_states(w)
-    return states[-1], trace
+    states, runs = _minimize_states(w)
+    return states[-1], tuple(phi for phi, k in runs for _ in range(k))
 
 
 # --- class graph rows ----------------------------------------------------
@@ -159,7 +252,14 @@ def level_closure(start: str, row_of=_computed_row) -> list:
 # --- conjugacy decision with replayable witness -------------------------
 
 def format_token(item) -> str:
-    """Render a witness step: W[y,x], P[img_a,img_b], or R[k]."""
+    """Render a witness step: W[y,x], W[y,x]^k (k >= 2), P[img_a,img_b], or R[k].
+
+    A run (phi, k) of one-letter automorphism phi is written W[y,x]^k, or
+    W[y,x] when k == 1.
+    """
+    if isinstance(item, tuple):
+        phi, k = item
+        return str(phi) if k == 1 else f"{phi}^{k}"
     if isinstance(item, OneLetterAut):
         return str(item)
     if isinstance(item, Permutation):
@@ -167,21 +267,31 @@ def format_token(item) -> str:
     return f"R[{int(item)}]"
 
 
+# the spellings format_token writes, with ASCII digits only
+_TOKEN = re.compile(r"W\[([^,\]]*),([^,\]]*)\](?:\^([0-9]+))?|P\[([^,\]]*),([^,\]]*)\]|R\[(-?[0-9]+)\]")
+
+
 def parse_token(text: str):
-    kind, _, rest = text.partition("[")
-    if not rest.endswith("]"):
+    """The step a witness token names: a OneLetterAut, a run (OneLetterAut, k)
+    for W[y,x]^k, a Permutation, or an int rotation."""
+    m = _TOKEN.fullmatch(text)
+    if m is None:
         raise ValueError(f"malformed witness token {text!r}")
-    args = rest[:-1].split(",")
-    if kind == "W" and len(args) == 2:
-        return OneLetterAut(args[0], args[1])
-    if kind == "P" and len(args) == 2:
-        return Permutation(args[0], args[1])
-    if kind == "R" and len(args) == 1:
-        return int(args[0])
-    raise ValueError(f"malformed witness token {text!r}")
+    y, x, power, img_a, img_b, shift = m.groups()
+    if shift is not None:
+        return int(shift)
+    if img_a is not None:
+        return Permutation(img_a, img_b)
+    if power is None:
+        return OneLetterAut(y, x)
+    if int(power) < 2:
+        raise ValueError(f"malformed witness token {text!r}: a power must be at least 2")
+    return OneLetterAut(y, x), int(power)
 
 
 def apply_token(item, w: str) -> str:
+    if isinstance(item, tuple):
+        return apply_cyclic(item[0], w, item[1])
     if isinstance(item, OneLetterAut):
         return apply_cyclic(item, w)
     if isinstance(item, Permutation):
@@ -215,8 +325,8 @@ def are_conjugate(w: str, v: str, witness: bool = True):
     """
     cw = cyclic_reduce(check_word(w))[0]
     cv = cyclic_reduce(check_word(v))[0]
-    w_states, w_trace = _minimize_states(cw)
-    v_states, v_trace = _minimize_states(cv)
+    w_states, w_runs = _minimize_states(cw)
+    v_states, v_runs = _minimize_states(cv)
     mw, mv = w_states[-1], v_states[-1]
     if len(mw) != len(mv):
         return False, None
@@ -246,8 +356,8 @@ def are_conjugate(w: str, v: str, witness: bool = True):
         tokens.append(item)
         cur = apply_token(item, cur)
 
-    for phi in w_trace:
-        emit(phi)
+    for run in w_runs:
+        emit(run)
     emit(pi_w)
     emit(k_w)
     for p in reversed(path):  # from a canonical vertex: principal, permutation, rotation
@@ -260,9 +370,9 @@ def are_conjugate(w: str, v: str, witness: bool = True):
     emit((len(mv) - k_v) % len(mv) if mv else 0)
     if cur != mv:
         raise TheoremViolation(f"witness reaches {cur!r}, not the minimal word {mv!r}")
-    for i in reversed(range(len(v_trace))):
-        emit(v_trace[i].inverse())
-        emit(_rotation_aligning(cur, v_states[i]))
+    for (phi, k), start in zip(reversed(v_runs), reversed(v_states[:-1])):
+        emit((phi.inverse(), k))
+        emit(_rotation_aligning(cur, start))
     if cur != cv:
         raise TheoremViolation(f"witness reaches {cur!r}, not {cv!r}")
     return True, tuple(format_token(t) for t in tokens)

@@ -138,9 +138,24 @@ _ONE_LETTER_TABLES = tuple(
 
 
 # the principal automorphisms ({y}, x), in principal index order 1..4
-PRINCIPAL_MAPS = tuple(
-    one_letter_map(y, x) for y, x in (("a", "b"), ("a", "B"), ("b", "a"), ("b", "A"))
-)
+PRINCIPAL_PAIRS = (("a", "b"), ("a", "B"), ("b", "a"), ("b", "A"))
+PRINCIPAL_MAPS = tuple(one_letter_map(y, x) for y, x in PRINCIPAL_PAIRS)
+
+
+def o_minimize(w: str):
+    """Greedy reduction one step at a time, from the definition: while some
+    principal shortens the cyclic word, apply the first one in index order.
+    (minimal word, trace as W[y,x] strings)."""
+    trace = []
+    while True:
+        for (y, x), d in zip(PRINCIPAL_PAIRS, PRINCIPAL_MAPS):
+            image = o_apply_cyclic(d, w)
+            if len(image) < len(w):
+                w = image
+                trace.append(f"W[{y},{x}]")
+                break
+        else:
+            return w, trace
 
 
 def o_vertex_row(w: str) -> tuple:
@@ -228,27 +243,33 @@ def orbit_components(max_len: int, cap: int) -> dict:
 
 
 def parse_witness_token(text: str):
-    """(kind, payload) for a W[y,x] / P[p,q] / R[k] step."""
-    kind, body = text[0], text[2:-1]
-    assert text[1] == "[" and text[-1] == "]"
+    """(kind, payload, power) for a W[y,x] / W[y,x]^k / P[p,q] / R[k] step;
+    power is k for W[y,x]^k and 1 otherwise."""
+    head, caret, power = text.partition("^")
+    kind, body = head[0], head[2:-1]
+    assert head[1] == "[" and head[-1] == "]"
+    assert not caret or (kind == "W" and power.isascii() and power.isdigit() and int(power) >= 2)
+    power = int(power) if caret else 1
     if kind == "W":
         y, x = body.split(",")
-        return "W", one_letter_map(y, x)
+        return "W", one_letter_map(y, x), power
     if kind == "P":
         p, q = body.split(",")
-        return "P", {"a": p, "b": q, "A": INV[p], "B": INV[q]}
+        return "P", {"a": p, "b": q, "A": INV[p], "B": INV[q]}, power
     if kind == "R":
-        return "R", int(body)
+        return "R", int(body), power
     raise AssertionError(f"unknown witness token {text!r}")
 
 
 def replay_tokens(w: str, tokens) -> str:
-    """Apply a token witness to the cyclic core of w with oracle arithmetic."""
+    """Apply a token witness to the cyclic core of w with oracle arithmetic;
+    W[y,x]^k applies the one-letter map k times."""
     cur = o_cyclic_core(w)
     for text in tokens:
-        kind, payload = parse_witness_token(text)
+        kind, payload, power = parse_witness_token(text)
         if kind == "W":
-            cur = o_apply_cyclic(payload, cur)
+            for _ in range(power):
+                cur = o_apply_cyclic(payload, cur)
         elif kind == "P":
             cur = o_perm(payload, cur)
         else:

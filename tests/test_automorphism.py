@@ -143,6 +143,45 @@ def test_one_letter_fast_path_matches_whitehead_path(w):
         assert apply_cyclic(phi.as_whitehead(), w) == expected
 
 
+def test_power_step_matches_successive_steps_exhaustively():
+    """apply_cyclic(phi, w, k) is the string k single calls give, for every
+    cyclic word of length <= 7, one-letter automorphism and k <= 6."""
+    for n in range(8):
+        for w in orc.cyclic_words(n):
+            for phi in ALL_ONE_LETTER:
+                cur = w
+                for k in range(1, 7):
+                    cur = apply_cyclic(phi, cur)
+                    assert apply_cyclic(phi, w, k) == cur, (w, phi, k)
+
+
+@given(
+    one_letter_auts,
+    st.one_of(run_heavy_words(), cyclic_reduced_words(max_size=40), raw_words(max_size=30)),
+    st.integers(1, 40),
+)
+def test_power_step_matches_successive_steps(phi, w, k):
+    """On run-heavy, random cyclic and unreduced words, against k single
+    calls and against the oracle map applied k times."""
+    cur = expected = w
+    for _ in range(k):
+        cur = apply_cyclic(phi, cur)
+        expected = orc.o_apply_cyclic(orc.one_letter_map(phi.y, phi.x), expected)
+    assert apply_cyclic(phi, w, k) == cur == expected
+
+
+def test_power_step_examples_and_rejections():
+    assert apply_cyclic(OneLetterAut("a", "b"), "a", 5) == "abbbbb"
+    assert apply_cyclic(OneLetterAut("b", "A"), "aaaab", 4) == "b"
+    assert apply_cyclic(OneLetterAut("a", "B"), "ab" * 3, 2) == "aBaBaB"
+    assert apply_cyclic(OneLetterAut("a", "b"), "bbb", 9) == "bbb"  # no y-type letter
+    for bad in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            apply_cyclic(OneLetterAut("a", "b"), "ab", bad)
+    with pytest.raises(ValueError):
+        apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", 2)
+
+
 def test_principal_vocabulary():
     assert PRINCIPALS == (
         OneLetterAut("a", "b"),

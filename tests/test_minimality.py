@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as orc
-from conftest import cyclic_reduced_words, raw_words
+from conftest import cyclic_reduced_words, raw_words, run_heavy_words
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
+    PRINCIPALS,
     OneLetterAut,
     Permutation,
     apply_cyclic,
@@ -21,6 +22,8 @@ from f2aut.automorphism import (
 from f2aut.class_graph import build_graph, to_dict
 from f2aut.minimality import (
     _rotation_aligning,
+    _run_length,
+    _shrinking,
     apply_token,
     are_conjugate,
     format_token,
@@ -126,6 +129,41 @@ def test_minimize_reaches_a_minimal_word_with_replayable_trace(w):
         assert (word, trace) == (w, ())
 
 
+def test_run_length_matches_single_steps_exhaustively():
+    """On every cyclic word of length <= 8 that is not minimal, the closed
+    form counts the steps the greedy rule takes with its first principal."""
+    for n in range(9):
+        for w in orc.cyclic_words(n):
+            p, pc, deltas = _shrinking(w)
+            if p is None:
+                continue
+            steps, cur = 0, w
+            while _shrinking(cur)[0] == p:
+                cur = apply_cyclic(PRINCIPALS[p], cur)
+                steps += 1
+            assert _run_length(p, w, pc, deltas) == steps, w
+
+
+def _same_as_single_steps(w):
+    word, trace = minimize(w)
+    assert (word, [format_token(phi) for phi in trace]) == orc.o_minimize(w)
+
+
+@given(st.one_of(cyclic_reduced_words(), run_heavy_words()))
+def test_minimize_matches_single_step_greedy(w):
+    """Word and trace equal the one-step-at-a-time greedy oracle's."""
+    _same_as_single_steps(w)
+
+
+@given(st.integers(1, 60), st.sampled_from(PRINCIPALS), st.integers(0, 12))
+def test_minimize_matches_single_step_greedy_on_pushed_primitives(k, phi, pushes):
+    """a^k b pushed up by one principal reduces in long runs of one principal."""
+    w = "a" * k + "b"
+    for _ in range(pushes):
+        w = orc.o_apply_cyclic(orc.one_letter_map(phi.y, phi.x), w)
+    _same_as_single_steps(w)
+
+
 @given(cyclic_reduced_words(max_size=10))
 def test_level_closure_rows_match_oracle_in_discovery_order(w):
     start = canonical_word(minimize(w)[0])
@@ -155,25 +193,56 @@ def test_level_closure_rejects_a_shortening_principal():
 def test_token_round_trips():
     for phi in ALL_ONE_LETTER:
         assert parse_token(format_token(phi)) == phi
+        for k in (2, 3, 4039):
+            assert parse_token(format_token((phi, k))) == (phi, k)
+        assert format_token((phi, 1)) == format_token(phi)  # a run of one is a plain step
     for pi in ALL_PERMUTATIONS:
         assert parse_token(format_token(pi)) == pi
-    for k in (0, 1, 7):
+    for k in (0, 1, 7, -3):
         assert parse_token(format_token(k)) == k
     assert format_token(OneLetterAut("a", "B")) == "W[a,B]"
+    assert format_token((OneLetterAut("b", "A"), 12)) == "W[b,A]^12"
     assert format_token(Permutation("b", "A")) == "P[b,A]"
     assert format_token(3) == "R[3]"
 
 
 def test_parse_token_rejects_malformed():
-    for bad in ("", "W[a]", "W[a,b,c]", "Q[a,b]", "R[1", "R[]", "noise"):
+    for bad in (
+        "", "W[a]", "W[a,b,c]", "Q[a,b]", "R[1", "R[]", "noise",
+        "R[ 3]", "R[3 ]", "R[+2]", "R[1_0]", "R[\u0663]", "R[3]\n",  # spellings format_token never writes
+        "W[a,b]^1", "W[a,b]^0", "W[a,b]^x", "W[a,b]^", "W[a,b]^-2", "W[a,b]^\u0663", "P[a,b]^2", "R[2]^2",
+    ):
         with pytest.raises(ValueError):
             parse_token(bad)
 
 
 def test_apply_token_semantics():
     assert apply_token(OneLetterAut("a", "b"), "aa") == "abab"
+    assert apply_token((OneLetterAut("a", "b"), 2), "aa") == "abbabb"
     assert apply_token(Permutation("b", "a"), "aab") == "bba"
     assert apply_token(2, "aab") == "baa"
+
+
+tokens = st.one_of(
+    st.sampled_from(ALL_ONE_LETTER + ALL_PERMUTATIONS).map(format_token),
+    st.tuples(st.sampled_from(ALL_ONE_LETTER), st.integers(2, 9)).map(format_token),
+    st.integers(-5, 20).map(format_token),
+)
+
+
+@given(
+    raw_words(max_size=12),
+    st.lists(tokens, max_size=6),
+    st.sampled_from(ALL_ONE_LETTER),
+    st.integers(2, 9),
+    st.data(),
+)
+def test_replay_witness_matches_oracle_on_tokens_with_powers(w, steps, phi, k, data):
+    """Any token list, with at least one power W[y,x]^k in it, replays the
+    same through the library and through the oracle, which applies the
+    one-letter map k times."""
+    steps.insert(data.draw(st.integers(0, len(steps))), format_token((phi, k)))
+    assert replay_witness(w, steps) == orc.replay_tokens(w, steps)
 
 
 def test_replay_witness_basics():
@@ -273,6 +342,38 @@ PINNED_GRAPH_WORDS = [w for w, _ in PINNED_PAIRS[:64]] + ["aa", "a", "aabb", "ab
 
 # sha256 of the JSON list of are_conjugate results, then of to_dict graphs, below
 WITNESS_AND_GRAPH_DIGEST = "e658dd124eaf136c5a676ba17d72f424be13b0300a17b5bd03e0d6cf93d1d3cc"
+
+
+def test_pinned_witnesses_replay_unchanged():
+    """The pinned witnesses have no power token and still land on the
+    cyclic core of the other word, through the library and the oracle."""
+    for w, v in PINNED_PAIRS:
+        flag, tokens = are_conjugate(w, v)
+        if flag:
+            assert not any("^" in t for t in tokens)
+            assert replay_witness(w, tokens) == orc.replay_tokens(w, tokens) == orc.o_cyclic_core(v)
+
+
+def test_are_conjugate_writes_runs_as_powers():
+    # ({b}, A) shortens a^k b one letter at a time down to ab, which ({a}, B) ends
+    flag, tokens = are_conjugate("a" * 9 + "b", "a")
+    assert flag and tokens[:2] == ("W[b,A]^8", "W[a,B]")
+    assert orc.replay_tokens("a" * 9 + "b", tokens) == "a"
+    flag, tokens = are_conjugate("a", "a" * 9 + "b")
+    assert flag and tokens[-4:] == ("W[a,b]", "R[0]", "W[b,a]^8", "R[2]")
+    assert orc.replay_tokens("a", tokens) == "a" * 9 + "b"
+
+
+def test_long_pushed_primitive_has_a_short_witness():
+    """a^999 b pushed up by ({a}, b) 40 times, about 41k letters, against a
+    permuted rotation of itself: one power token per greedy run."""
+    w = "a" * 999 + "b"
+    for _ in range(40):
+        w = apply_cyclic(PRINCIPALS[0], w)
+    v = rotate(Permutation("B", "a")(w), len(w) // 3)
+    flag, tokens = are_conjugate(w, v)
+    assert flag and len(tokens) <= 200
+    assert orc.replay_tokens(w, tokens) == v
 
 
 def test_witnesses_and_graphs_are_pinned():

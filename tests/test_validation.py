@@ -43,6 +43,18 @@ BAD_CALLS = (
     'OneLetterAut("", "b")',
     'parse_token("W[ab,B]")',
     'replay_witness("ab", ["W[,b]"])',
+    'parse_token("R[ 3]")',  # integer spellings format_token never writes
+    'parse_token("R[3 ]")',
+    'parse_token("R[+2]")',
+    'parse_token("R[1_0]")',
+    'parse_token("R[\\u0663]")',  # an Arabic-Indic digit three
+    'replay_witness("ab", ["R[\\u0661]"])',
+    'parse_token("W[a,b]^1")',  # a power is written only from 2 on
+    'parse_token("W[a,b]^0")',
+    'parse_token("W[a,b]^x")',
+    'parse_token("P[a,b]^2")',  # only a one-letter automorphism has a power
+    'apply_cyclic(PRINCIPALS[0], "ab", 0)',
+    'apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", 2)',
     'WhiteheadII(frozenset(), "ab")',
     'triangle_decompose("ab", "B")',
     'is_minimal("aA")',
