@@ -14,7 +14,9 @@ canonical_word, canonical_witness and the enumeration's mod-J filter all
 read the candidates from one generator, _rotation_keys, which yields only
 the rotations that start with a given run of a's.  _j_equal decides whether
 two words share a canonical form without computing it.  Both translate only
-the permutation images that can match.
+the permutation images that can match.  _align finds the permutation and
+rotation carrying a word onto a canonical form already known, such as a
+vertex of a class graph, without searching for that form again.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from functools import lru_cache
 
 from .word_core import (
     LETTERS,
+    TheoremViolation,
     check_cyclic_word,
     cyclic_reduce,
     free_reduce,
@@ -256,31 +259,36 @@ _ORDER_TABLES = tuple(
 _FROM_ORDER = str.maketrans("0123", LETTERS)
 # letter c -> the tables of the two images sending c to a; the identity's comes last of all
 _TABLES_TO_A = {c: [t for t in _ORDER_TABLES[::-1] if c.translate(t) == "0"] for c in "bBAa"}
+# the same without the identity, whose rotations never undercut a necklace
+_NON_IDENTITY_TABLES_TO_A = {
+    c: [t for t in tables if t is not _ORDER_TABLES[0]] for c, tables in _TABLES_TO_A.items()
+}
 
 
 def _longest_run(w: str) -> int:
-    """Length of the longest cyclic run of one letter in w, at most len(w)."""
+    """Length of the longest cyclic run of one letter in w, at most len(w).
+
+    Per letter c: find the first run of c longer than the best so far, in
+    the doubled word, measure it, and look on from its end; every run
+    measured is longer than the last.
+    """
     n = len(w)
     ww = w + w
-
-    def has_run(k):
-        return k <= n and ("a" * k in ww or "b" * k in ww or "A" * k in ww or "B" * k in ww)
-
-    lo, hi = min(n, 1), 2  # has_run(lo) holds; double hi until has_run(hi) fails
-    while has_run(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if has_run(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    best = min(n, 1)
+    for c in LETTERS:
+        i = ww.find(c * (best + 1))
+        while i != -1:  # the leftmost match starts a run
+            head = ww[i : i + n]
+            best = len(head) - len(head.lstrip(c))
+            if best == n:
+                return n
+            i = ww.find(c * (best + 1), i + best)
+    return best
 
 
-def _rotation_keys(w: str, run: int):
+def _rotation_keys(w: str, run: int, tables=_TABLES_TO_A):
     """Order keys of the rotations of the permutation images of w that start
-    with run a's.
+    with run a's; tables=_NON_IDENTITY_TABLES_TO_A leaves out w's own.
 
     The least rotation of all the images starts with a^r, where r is the
     longest run of one letter in w, since some permutation sends that letter
@@ -295,9 +303,9 @@ def _rotation_keys(w: str, run: int):
     z = "0" * run
     end = n + run - 1  # matches of z in the doubled image start below n
     ww = w + w
-    for c, tables in _TABLES_TO_A.items():
+    for c, to_a in tables.items():
         if c * run in ww:
-            for table in tables:
+            for table in to_a:
                 tt = ww.translate(table)
                 i = tt.find(z, 0, end)
                 while i != -1:
@@ -337,12 +345,24 @@ def canonical_witness(w: str) -> tuple[str, Permutation, int]:
     pi is the first permutation, in ALL_PERMUTATIONS order, whose image
     reaches the canonical form, and k the least rotation that does.
     """
-    check_cyclic_word(w)
-    key = min(_rotation_keys(w, _longest_run(w)), default="")
-    for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
-        k = (w + w).translate(table).find(key)
-        if k != -1:
-            return key.translate(_FROM_ORDER), pi, k
+    canonical = canonical_word(w)
+    return (canonical, *_align(w, canonical))
+
+
+def _align(w: str, canonical: str) -> tuple[Permutation, int]:
+    """(pi, k) with rotate(pi(w), k) == canonical, a canonical form known to
+    be w's: the first such pi in ALL_PERMUTATIONS order, at its least k.
+
+    Raises TheoremViolation when no rotation of a permutation image of w is
+    canonical.  Callers validate w.
+    """
+    if len(w) == len(canonical):
+        key, ww = order_key(canonical), w + w
+        for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
+            k = ww.translate(table).find(key)
+            if k != -1:
+                return pi, k
+    raise TheoremViolation(f"no rotation of a permutation image of {w!r} is {canonical!r}")
 
 
 def triangle_decompose(x: str, y: str):

@@ -199,6 +199,8 @@ def _size_table_rows(tables, gtype: str) -> list:
 def cmd_enumerate(args) -> int:
     lengths = _parse_lengths(args.lengths)
     workers = _resolve_workers(args)
+    if args.weight is not None and args.weight < 0:
+        raise ValueError(f"weight must be a nonnegative integer, got {args.weight}")
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

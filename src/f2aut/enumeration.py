@@ -12,7 +12,9 @@ Pipeline, per length n:
    are built as strings;
 3. keep the least representative mod rotation and signed permutation: no
    _rotation_keys key starting with the word's leading a-run is below the
-   word's own.  Each surviving word is one vertex of one class graph;
+   word's own.  Only the seven non-identity images are translated, since
+   no rotation of a necklace undercuts it.  Each surviving word is one
+   vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
 5. from each vertex not yet in a class, in ascending order, collect its
@@ -37,7 +39,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphism import PRINCIPALS, _j_equal, _rotation_keys, apply_cyclic, canonical_word
+from .automorphism import (
+    PRINCIPALS,
+    _NON_IDENTITY_TABLES_TO_A,
+    _j_equal,
+    _rotation_keys,
+    apply_cyclic,
+    canonical_word,
+)
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble
 from .minimality import level_closure, principal_deltas, vertex_row
@@ -90,7 +99,7 @@ def _shard_job(args) -> list:
             return  # not minimal
         w = "".join([LETTERS[c] for c in a[1:]])
         tw = order_key(w)
-        if not all(key >= tw for key in _rotation_keys(w, cap)):
+        if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
             return  # a rotation of a permutation image is smaller
         rows.append(vertex_row(w, pc, deltas))
 

@@ -30,7 +30,9 @@ conjugacy class and can produce a replayable witness: a token sequence
 (one-letter automorphisms and their powers, signed permutations,
 rotations) that transforms the cyclically reduced first word, step by
 step, into the cyclically reduced second word exactly.  Each greedy run
-of k >= 2 steps is one token W[y,x]^k on either reduction leg.
+of k >= 2 steps is one token W[y,x]^k on either reduction leg.  Along
+the BFS path each principal image is aligned to the canonical vertex its
+parent row already holds, so only the two minimal words are canonicalized.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .automorphism import (
     OneLetterAut,
     PRINCIPALS,
     Permutation,
+    _align,
     apply_cyclic,
     canonical_witness,
     canonical_word,
@@ -342,11 +345,12 @@ def are_conjugate(w: str, v: str, witness: bool = True):
         return False, None
     if not witness:
         return True, None
-    path = []
+    path = []  # (principal index, canonical vertex it reaches), from canon_v back
     c = canon_v
     while parents[c] is not None:
-        c, p = parents[c]
-        path.append(p)
+        u, p = parents[c]
+        path.append((p, c))
+        c = u
 
     tokens = []
     cur = cw
@@ -360,9 +364,9 @@ def are_conjugate(w: str, v: str, witness: bool = True):
         emit(run)
     emit(pi_w)
     emit(k_w)
-    for p in reversed(path):  # from a canonical vertex: principal, permutation, rotation
+    for p, c in reversed(path):  # from a canonical vertex: principal, permutation, rotation
         emit(PRINCIPALS[p - 1])
-        _, pi, k = canonical_witness(cur)
+        pi, k = _align(cur, c)
         emit(pi)
         emit(k)
     # invert the canonicalization of mv, then walk its reduction backwards

@@ -6,7 +6,7 @@ Agreement between these functions and the library is what the tests check,
 so keep the two code bases strictly separate.
 """
 
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 ALPHABET = "abAB"
 INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -87,6 +87,11 @@ def o_canonical(w: str) -> str:
         (o_least_rotation(o_perm(d, w)) for d in PERM_DICTS),
         key=lambda r: r.translate(_DIGITS),
     )
+
+
+def o_longest_run(w: str) -> int:
+    """Longest run of one letter in w + w, capped at len(w): the longest cyclic run."""
+    return min(len(w), max((len(list(run)) for _, run in groupby(w + w)), default=0))
 
 
 def one_letter_map(y: str, x: str) -> dict:

@@ -15,7 +15,10 @@ from f2aut.automorphism import (
     OneLetterAut,
     Permutation,
     WhiteheadII,
+    _NON_IDENTITY_TABLES_TO_A,
+    _align,
     _j_equal,
+    _longest_run,
     _rotation_keys,
     all_whitehead,
     apply_cyclic,
@@ -28,10 +31,12 @@ from f2aut.automorphism import (
     triangle_decompose,
 )
 from f2aut.word_core import (
+    TheoremViolation,
     free_reduce,
     invert,
     is_cyclic_word,
     least_rotation,
+    order_key,
     rotate,
 )
 
@@ -321,6 +326,49 @@ def test_j_equal_examples():
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))
 def test_canonical_witness_tie_break_on_periodic_words(w):
     assert canonical_witness(w) == brute_force_witness(w)
+
+
+def test_align_rejects_a_canonical_form_of_another_class():
+    assert _align("baab", "aabb") == (Permutation("a", "b"), 1)
+    for w, other in (("aabb", "abaB"), ("aab", "aabb"), ("ab", ""), ("", "a")):
+        with pytest.raises(TheoremViolation):
+            _align(w, other)
+
+
+def test_longest_run_on_every_short_word():
+    for n in range(9):
+        for w in orc.cyclic_words(n):
+            assert _longest_run(w) == orc.o_longest_run(w), w
+    for c in "abAB":
+        for n in (1, 2, 3, 7, 64, 401):
+            assert _longest_run(c * n) == n
+
+
+@given(
+    st.one_of(
+        run_heavy_words(),
+        st.builds(
+            lambda head, c, k, tail: orc.o_cyclic_core(head + c * k + tail),
+            reduced_words(max_size=12),
+            st.sampled_from("abAB"),
+            st.integers(100, 400),
+            reduced_words(max_size=12),
+        ),
+    )
+)
+def test_longest_run_matches_oracle(w):
+    assert _longest_run(w) == orc.o_longest_run(w)
+
+
+def test_necklace_filter_without_identity_matches_canonical_form():
+    # the leaf filter of the enumeration: cap is the word's leading a-run
+    for n in range(9):
+        for w in orc.cyclic_words(n):
+            if w != orc.o_least_rotation(w):
+                continue
+            cap = len(w) - len(w.lstrip("a"))
+            keys = _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)
+            assert all(key >= order_key(w) for key in keys) == (canonical_word(w) == w), w
 
 
 def test_triangle_decompose_rejects_bad_letters():

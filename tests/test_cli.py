@@ -259,6 +259,14 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_enumerate_negative_weight_writes_nothing(capsys, tmp_path):
+    out = tmp_path / "census"
+    rc, stdout, err = run(capsys, "enumerate", "--lengths", "0", "--weight", "-1", "--out", str(out))
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error:") and "weight" in err
+    assert not out.exists()
+
+
 def test_workers_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("F2AUT_WORKERS", "2")
     rc, out, _ = run(capsys, "enumerate", "--lengths", "3", "--format", "csv")

@@ -158,6 +158,7 @@ def test_bad_library_input_raises_value_error_under_O():
         ["minimize", "aq"],
         ["graph", "a-b"],
         ["profile", "ab c"],
+        ["enumerate", "--lengths", "0", "--weight", "-1"],
     ),
 )
 def test_cli_input_errors_exit_2_without_traceback_under_O(argv):
