@@ -19,8 +19,6 @@ from .automorphism import (
     canonical_witness,
     canonical_word,
     conjugate_by_perm,
-    principal_index,
-    principal_of,
     triangle_decompose,
 )
 from .class_graph import (
@@ -48,8 +46,6 @@ from .enumeration import (
 from .minimality import (
     are_conjugate,
     format_token,
-    image_length,
-    is_level,
     is_minimal,
     is_root,
     minimize,
@@ -65,7 +61,6 @@ from .word_core import (
     free_reduce,
     invert,
     inverse_letter,
-    is_alternating,
     is_cyclic_word,
     is_reduced,
     least_rotation,

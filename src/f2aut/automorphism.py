@@ -155,22 +155,6 @@ PRINCIPALS = (
 )
 
 
-def principal_index(phi: OneLetterAut) -> int:
-    """1-based index of a principal automorphism."""
-    return PRINCIPALS.index(phi) + 1
-
-
-def principal_of(phi: OneLetterAut) -> OneLetterAut:
-    """The principal automorphism acting like phi on every cyclic word.
-
-    ({y}, x) and ({y^-1}, x^-1) differ by an inner automorphism, so exactly
-    one representative per pair has y a generator.
-    """
-    if phi.y in "ab":
-        return phi
-    return OneLetterAut(inverse_letter(phi.y), inverse_letter(phi.x))
-
-
 def conjugate_by_perm(phi: OneLetterAut, pi: Permutation) -> OneLetterAut:
     """The unique psi with pi(phi(w)) = psi(pi(w)) for every word w."""
     return OneLetterAut(pi(phi.y), pi(phi.x))

@@ -173,22 +173,16 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _type_count_rows(tables) -> list:
+    """The rows of type_counts.csv: per length, classes per type, classes and vertices."""
+    class_totals, vertex_totals = tables.class_totals, tables.vertex_totals
     rows = [["n", *GRAPH_TYPES, "classes", "vertices"]]
-    for n in sorted(tables.type_counts):
-        counts = tables.type_counts[n]
-        rows.append(
-            [
-                n,
-                *[counts.get(g, 0) for g in GRAPH_TYPES],
-                tables.class_totals[n],
-                tables.vertex_totals[n],
-            ]
-        )
+    for n, counts in sorted(tables.type_counts.items()):
+        rows.append([n, *[counts.get(g, 0) for g in GRAPH_TYPES], class_totals[n], vertex_totals[n]])
     return rows
 
 
-def _size_table_rows(tables, gtype: str) -> list:
-    per_n = tables.size_counts[gtype]
+def _size_table_rows(per_n: dict) -> list:
+    """The rows of sizes_<gtype>.csv from size_counts[gtype]."""
     sizes = sorted({s for counter in per_n.values() for s in counter})
     rows = [["n", *sizes]]
     for n in sorted(per_n):
@@ -219,13 +213,13 @@ def cmd_enumerate(args) -> int:
                 fh.write(json.dumps({"id": rec.class_id, **to_dict(rec.graph)}) + "\n")
 
     tables = census(lengths, workers=workers, sink=sink)
-
+    rows = _type_count_rows(tables)
     report = conjecture_report(tables) if args.check_conjectures else None
 
     if out_dir is not None:
-        _write_csv(out_dir / "type_counts.csv", _type_count_rows(tables))
-        for gtype in ("P1", "P2", "P3"):
-            _write_csv(out_dir / f"sizes_{gtype}.csv", _size_table_rows(tables, gtype))
+        _write_csv(out_dir / "type_counts.csv", rows)
+        for gtype, per_n in tables.size_counts.items():
+            _write_csv(out_dir / f"sizes_{gtype}.csv", _size_table_rows(per_n))
         if report is not None:
             (out_dir / "conjectures.txt").write_text(render_conjecture_report(report) + "\n")
         if scan is not None:
@@ -237,27 +231,20 @@ def cmd_enumerate(args) -> int:
             (out_dir / "coincidence_scan.txt").write_text("\n".join(lines) + "\n")
 
     if args.format == "json":
-        payload = {
-            "type_counts": {
-                str(n): {g: tables.type_counts[n].get(g, 0) for g in GRAPH_TYPES}
-                for n in sorted(tables.type_counts)
-            },
-            "class_totals": {str(n): tables.class_totals[n] for n in sorted(tables.class_totals)},
-            "vertex_totals": {str(n): tables.vertex_totals[n] for n in sorted(tables.vertex_totals)},
-            "mean_class_size": {
-                str(n): str(expected_class_size(tables, n)) for n in sorted(tables.class_totals)
-            },
-        }
+        payload = {key: {} for key in ("type_counts", "class_totals", "vertex_totals", "mean_class_size")}
+        for n, *counts, classes, vertices in rows[1:]:
+            payload["type_counts"][str(n)] = dict(zip(GRAPH_TYPES, counts))
+            payload["class_totals"][str(n)] = classes
+            payload["vertex_totals"][str(n)] = vertices
+            payload["mean_class_size"][str(n)] = str(expected_class_size(tables, n))
         if report is not None:
             payload["conjectures"] = report
         if scan is not None:
             payload["coincidence_scan"] = {str(n): fails for n, fails in sorted(scan.items())}
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerows(_type_count_rows(tables))
+        csv.writer(sys.stdout).writerows(rows)
     else:
-        rows = _type_count_rows(tables)
         widths = [max(len(str(r[i])) for r in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(str(cell).rjust(w) for cell, w in zip(row, widths)))

@@ -20,7 +20,11 @@ Pipeline, per length n:
 5. from each vertex not yet in a class, in ascending order, collect its
    class with minimality.level_closure over these rows, assemble one
    ClassGraph per class, and number the classes by ascending (size, least
-   word).
+   word).  A ClassRecord is that number and the graph; its length, size,
+   weight and type are read from the graph;
+6. census counts the records of each length by (type, weight, size, root)
+   in class_stats, the one table it stores; CensusTables reads its other
+   four tables from it.
 
 Shards are defined by forced word prefixes, so results are identical for
 any worker count: shard outputs are concatenated in prefix order.  One
@@ -194,18 +198,31 @@ def enumerate_minimal(n: int, workers: int = 1) -> list:
 
 @dataclass(frozen=True)
 class ClassRecord:
-    """One automorphic conjugacy class of cyclic words of a given length."""
+    """One automorphic conjugacy class of cyclic words of a given length:
+    its id and its graph, from which every other fact is read."""
 
     class_id: str
-    length: int
-    size: int
-    weight: int
-    gtype: str
     graph: ClassGraph
 
     @property
     def representatives(self) -> tuple:
         return self.graph.vertices
+
+    @property
+    def length(self) -> int:
+        return len(self.graph.vertices[0])
+
+    @property
+    def size(self) -> int:
+        return len(self.graph.vertices)
+
+    @property
+    def weight(self) -> int:
+        return weight(self.graph.vertices[0])  # the module function; constant on a class
+
+    @property
+    def gtype(self) -> str:
+        return self.graph.gtype
 
 
 def enumerate_classes(n: int, workers: int = 1) -> list:
@@ -229,43 +246,69 @@ def _classes(n: int, rows: list) -> list:
     graphs = [_assemble(level_closure(row[0], claim)) for row in rows if row[0] in unclaimed]
     graphs.sort(key=lambda g: (len(g.vertices), order_key(g.vertices[0])))
 
-    return [
-        ClassRecord(f"{n}.{k}", n, len(g.vertices), weight(g.vertices[0]), g.gtype, g)
-        for k, g in enumerate(graphs, start=1)
-    ]
+    return [ClassRecord(f"{n}.{k}", g) for k, g in enumerate(graphs, start=1)]
 
 
 @dataclass
 class CensusTables:
-    """Aggregates over all enumerated lengths."""
+    """Class counts over all enumerated lengths.
 
-    type_counts: dict  # n -> Counter{gtype: classes}
-    size_counts: dict  # gtype -> n -> Counter{size: classes} for P1, P2, P3
+    class_stats is the one stored table; the other four are read-only views
+    of it, computed on each read.
+    """
+
     class_stats: dict  # n -> Counter{(gtype, weight, size, is_root): classes}
-    class_totals: dict  # n -> classes
-    vertex_totals: dict  # n -> minimal words mod rotation+permutation
+
+    @property
+    def type_counts(self) -> dict:  # n -> Counter{gtype: classes}
+        return {n: _sum_by(stats, 0) for n, stats in self.class_stats.items()}
+
+    @property
+    def size_counts(self) -> dict:  # gtype -> n -> Counter{size: classes} for P1, P2, P3
+        # a length is a key only if it has a class of that type
+        return {
+            g: {n: sizes for n, stats in self.class_stats.items() if (sizes := _sum_by(stats, 2, g))}
+            for g in GRAPH_TYPE_ORDER[:3]
+        }
+
+    @property
+    def class_totals(self) -> dict:  # n -> classes
+        return {n: sum(stats.values()) for n, stats in self.class_stats.items()}
+
+    @property
+    def vertex_totals(self) -> dict:  # n -> minimal words mod rotation+permutation
+        return {n: _vertex_total(stats) for n, stats in self.class_stats.items()}
+
+
+def _sum_by(stats: Counter, field: int, gtype=None) -> Counter:
+    """One length's class_stats summed by one field of its keys (0 gtype,
+    2 size), over the classes of type gtype if one is given."""
+    sums = Counter()
+    for key, c in stats.items():
+        if gtype in (None, key[0]):
+            sums[key[field]] += c
+    return sums
+
+
+def _vertex_total(stats: Counter) -> int:
+    """The vertices of one length's class_stats: the sum of its class sizes."""
+    return sum(s * c for (_, _, s, _), c in stats.items())
 
 
 def census(lengths, workers: int = 1, sink=None) -> CensusTables:
-    """Enumerate every length in lengths, aggregating into CensusTables.
+    """Enumerate every length in lengths, counting its classes in class_stats.
 
     sink, when given, is called as sink(n, records) after each length.
     """
     lengths = sorted(lengths)
     _check_size(workers, *lengths)
-    tables = CensusTables({}, {g: {} for g in ("P1", "P2", "P3")}, {}, {}, {})
+    tables = CensusTables({})
     with contextlib.closing(_rows_by_length(lengths, workers)) as stream:
         for n, rows in stream:
             records = _classes(n, rows)
-            tables.type_counts[n] = Counter(rec.gtype for rec in records)
             tables.class_stats[n] = Counter(
                 (rec.gtype, rec.weight, rec.size, rec.graph.is_root_class) for rec in records
             )
-            tables.class_totals[n] = len(records)
-            tables.vertex_totals[n] = sum(rec.size for rec in records)
-            for rec in records:
-                if rec.gtype in tables.size_counts:
-                    tables.size_counts[rec.gtype].setdefault(n, Counter())[rec.size] += 1
             if sink is not None:
                 sink(n, records)
     return tables
@@ -273,22 +316,20 @@ def census(lengths, workers: int = 1, sink=None) -> CensusTables:
 
 def expected_class_size(tables: CensusTables, n: int) -> Fraction:
     """Exact mean number of vertices per class at length n."""
-    return Fraction(tables.vertex_totals[n], tables.class_totals[n])
+    stats = tables.class_stats.get(n)
+    if stats is None:
+        raise ValueError(f"the census holds no length {n!r}")
+    return Fraction(_vertex_total(stats), sum(stats.values()))
 
 
 def _count_classes(tables, n, size=None, gtype=None, wt=None, nonroot=False):
-    total = 0
-    for (g, w, s, root), c in tables.class_stats[n].items():
-        if size is not None and s != size:
-            continue
-        if gtype is not None and g != gtype:
-            continue
-        if wt is not None and w != wt:
-            continue
-        if nonroot and root:
-            continue
-        total += c
-    return total
+    """Classes at length n of the given size, type and weight (any, where
+    None), and only the non-root ones if nonroot."""
+    return sum(
+        c
+        for (g, w, s, root), c in tables.class_stats[n].items()
+        if size in (None, s) and gtype in (None, g) and wt in (None, w) and not (nonroot and root)
+    )
 
 
 # Apparent limit of the number of classes of size n - k, k = 0..11, as n grows.
@@ -325,7 +366,7 @@ def conjecture_report(tables: CensusTables) -> dict:
 
     Every item carries ok flags; nothing here raises on a mismatch.
     """
-    ns = sorted(tables.type_counts)
+    ns = sorted(tables.class_stats)
     report = {"lengths": ns}
 
     # (a) classes of size n-k: counts along the diagonal stabilize as n grows
@@ -373,20 +414,11 @@ def conjecture_report(tables: CensusTables) -> dict:
         ("weight5", 5, 11, lambda n: Fraction(35 * n**3 - 645 * n**2 + 3988 * n - 8262, 6)),
     )
     for name, wt, n_min, fn in specs:
-        rows = []
-        for n in ns:
-            if n >= n_min:
-                expected = fn(n)
-                actual = _count_classes(tables, n, size=1, wt=wt, nonroot=True)
-                rows.append(
-                    {
-                        "n": n,
-                        "expected": str(expected),
-                        "actual": actual,
-                        "ok": expected == actual,
-                    }
-                )
-        singles[name] = rows
+        counts = {n: _count_classes(tables, n, size=1, wt=wt, nonroot=True) for n in ns if n >= n_min}
+        singles[name] = [
+            {"n": n, "expected": str(fn(n)), "actual": actual, "ok": fn(n) == actual}
+            for n, actual in counts.items()
+        ]
     report["nonroot_singletons"] = singles
 
     # (g) weight-6 plain-path classes of size n-k settle at fixed counts
@@ -395,18 +427,11 @@ def conjecture_report(tables: CensusTables) -> dict:
     )
 
     # (h) mean class size stays within [1, 1.76)
-    rows = []
-    for n in ns:
-        mean = expected_class_size(tables, n)
-        rows.append(
-            {
-                "n": n,
-                "mean": str(mean),
-                "mean_float": float(mean),
-                "ok": 1 <= mean < Fraction(176, 100),
-            }
-        )
-    report["mean_class_size"] = rows
+    means = {n: expected_class_size(tables, n) for n in ns}
+    report["mean_class_size"] = [
+        {"n": n, "mean": str(mean), "mean_float": float(mean), "ok": 1 <= mean < Fraction(176, 100)}
+        for n, mean in means.items()
+    ]
     return report
 
 

@@ -48,8 +48,6 @@ from .automorphism import (
     apply_cyclic,
     canonical_witness,
     canonical_word,
-    principal_index,
-    principal_of,
 )
 from .word_core import (
     TheoremViolation,
@@ -88,20 +86,6 @@ def is_root(w: str) -> bool:
     """The boundary case of minimality (see vertex_flags); never a single letter."""
     check_cyclic_word(w)
     return vertex_flags(len(w), pair_counts(w))[0]
-
-
-def image_length(phi: OneLetterAut, w: str) -> int:
-    """Cyclic length of phi(w) without building the image.
-
-    phi acts on cyclic words like its principal, principal_of(phi).
-    """
-    deltas = principal_deltas(*letter_tally(check_cyclic_word(w)), pair_counts(w))
-    return len(w) + deltas[principal_index(principal_of(phi)) - 1]
-
-
-def is_level(phi: OneLetterAut, w: str) -> bool:
-    """Does phi preserve the cyclic length of w?"""
-    return image_length(phi, w) == len(w)
 
 
 def _run_length(p: int, w: str, pc, deltas) -> int:
@@ -212,9 +196,10 @@ def minimize(w: str) -> tuple[str, tuple]:
 # --- class graph rows ----------------------------------------------------
 
 def vertex_row(w: str, pc, deltas) -> tuple:
-    """(w, [(principal index, canonical image), ...], is_root, is_alternating)
+    """(w, [(principal index, canonical image), ...], is_root, alternating)
     for a canonical minimal word w with pair_counts pc and principal_deltas
-    deltas: one entry per principal with length change 0, in PRINCIPALS order.
+    deltas: one entry per principal with length change 0, in PRINCIPALS
+    order; the two flags are vertex_flags(len(w), pc).
     """
     n = len(w)
     images = []

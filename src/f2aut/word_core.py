@@ -183,8 +183,3 @@ def vertex_flags(n: int, pc) -> tuple[bool, bool]:
         return False, False
     return abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb, pc.aa == pc.bb == 0
 
-
-def is_alternating(w: str) -> bool:
-    """True when no generator square occurs cyclically (see vertex_flags)."""
-    return vertex_flags(len(w), pair_counts(w))[1]
-

@@ -147,6 +147,13 @@ PRINCIPAL_PAIRS = (("a", "b"), ("a", "B"), ("b", "a"), ("b", "A"))
 PRINCIPAL_MAPS = tuple(one_letter_map(y, x) for y, x in PRINCIPAL_PAIRS)
 
 
+def o_principal_index(y: str, x: str) -> int:
+    """0-based index in PRINCIPAL_PAIRS of the principal acting like ({y}, x)
+    on cyclic words: ({y^-1}, x^-1) differs from ({y}, x) by an inner
+    automorphism, and one of the two has y a generator."""
+    return PRINCIPAL_PAIRS.index((y, x) if y in "ab" else (INV[y], INV[x]))
+
+
 def o_minimize(w: str):
     """Greedy reduction one step at a time, from the definition: while some
     principal shortens the cyclic word, apply the first one in index order.

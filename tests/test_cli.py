@@ -13,11 +13,9 @@ from hypothesis import given
 
 import oracles as orc
 from conftest import cyclic_reduced_words
-from f2aut.automorphism import PRINCIPALS
 from f2aut.class_graph import build_graph, from_json
 from f2aut.cli import PRINCIPAL_NAMES, _resolve_workers, main
-from f2aut.minimality import is_level, is_minimal, is_root
-from f2aut.word_core import is_alternating
+from f2aut.minimality import is_minimal
 
 
 def run(capsys, *argv):
@@ -132,11 +130,10 @@ def test_profile_level_flags_match_pointwise_predicates(w):
     if not payload["minimal"]:
         assert "level" not in payload
         return
-    assert payload["level"] == {
-        name: is_level(phi, w) for name, phi in zip(PRINCIPAL_NAMES, PRINCIPALS)
-    }
-    assert payload["root"] == is_root(w)
-    assert payload["alternating"] == is_alternating(w)
+    _, images, root, alternating = orc.o_vertex_row(w)
+    level = {p for p, _ in images}
+    assert payload["level"] == {name: p in level for p, name in enumerate(PRINCIPAL_NAMES, start=1)}
+    assert (payload["root"], payload["alternating"]) == (root, alternating)
 
 
 def test_graph_text(capsys):

@@ -1,6 +1,8 @@
 """Exhaustive enumeration, census tables, and conjecture reporting."""
 
+import dataclasses
 import multiprocessing
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from f2aut.class_graph import GRAPH_TYPES, ClassGraph, TheoremViolation, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
     LIMIT_SEQUENCE,
+    CensusTables,
     ClassRecord,
     _minimal_rows,
     census,
@@ -112,6 +115,41 @@ def test_census_aggregation_and_sink():
     assert tables.vertex_totals[9] == 177
     assert tables.class_totals[9] == 101
     assert expected_class_size(tables, 9) == Fraction(177, 101)
+    with pytest.raises(ValueError, match="no length 10"):
+        expected_class_size(tables, 10)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_census_stores_one_table_and_reads_four_views_from_it(workers):
+    assert [f.name for f in dataclasses.fields(CensusTables)] == ["class_stats"]
+    assert [f.name for f in dataclasses.fields(ClassRecord)] == ["class_id", "graph"]
+    seen = {}
+    tables = census(range(13), workers=workers, sink=seen.__setitem__)
+    graphs = {n: [rec.graph for rec in records] for n, records in seen.items()}
+    assert tables.class_stats == {
+        n: Counter((g.gtype, weight(g.vertices[0]), len(g.vertices), g.is_root_class) for g in gs)
+        for n, gs in graphs.items()
+    }
+    assert tables.type_counts == {n: Counter(g.gtype for g in gs) for n, gs in graphs.items()}
+    assert tables.size_counts == {
+        t: {
+            n: Counter(len(g.vertices) for g in gs if g.gtype == t)
+            for n, gs in graphs.items()
+            if any(g.gtype == t for g in gs)
+        }
+        for t in ("P1", "P2", "P3")
+    }
+    assert 6 not in tables.size_counts["P2"]  # no P2 class has length 6
+    assert tables.class_totals == {n: len(gs) for n, gs in graphs.items()}
+    assert tables.vertex_totals == {n: sum(len(g.vertices) for g in gs) for n, gs in graphs.items()}
+    for view in ("type_counts", "size_counts", "class_totals", "vertex_totals"):
+        with pytest.raises(AttributeError):
+            setattr(tables, view, {})
+    for n, records in seen.items():
+        for rec in records:
+            g = rec.graph
+            assert (rec.length, rec.size, rec.weight, rec.gtype) == (n, len(g.vertices), weight(g.vertices[0]), g.gtype)
+            assert rec.representatives is g.vertices
 
 
 def test_census_streams_every_length_through_one_pool(monkeypatch):
@@ -267,7 +305,7 @@ def test_no_principal_coincidence_failures(n):
 
 def _stub_records(words):
     return [
-        ClassRecord(f"0.{i}", len(w), 1, weight(w), "P1", ClassGraph((w,), (), False, False, "P1"))
+        ClassRecord(f"0.{i}", ClassGraph((w,), (), False, False, "P1"))
         for i, w in enumerate(words)
     ]
 

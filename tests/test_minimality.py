@@ -27,13 +27,12 @@ from f2aut.minimality import (
     apply_token,
     are_conjugate,
     format_token,
-    image_length,
-    is_level,
     is_minimal,
     is_root,
     level_closure,
     minimize,
     parse_token,
+    principal_deltas,
     replay_witness,
     vertex_row,
 )
@@ -42,6 +41,7 @@ from f2aut.word_core import (
     cyclic_reduce,
     free_reduce,
     invert,
+    letter_tally,
     pair_counts,
     rotate,
     subword_count,
@@ -81,14 +81,19 @@ def test_is_root_examples():
     assert not is_root("aabab")
 
 
+def _delta(phi, w: str) -> int:
+    """The principal_deltas entry of the principal acting like phi on w."""
+    return principal_deltas(*letter_tally(w), pair_counts(w))[orc.o_principal_index(phi.y, phi.x)]
+
+
 @given(one_letter_auts, cyclic_reduced_words())
 def test_image_length_matches_actual_image(phi, w):
-    assert image_length(phi, w) == len(apply_cyclic(phi, w))
+    assert len(w) + _delta(phi, w) == len(apply_cyclic(phi, w))
 
 
 @given(one_letter_auts, cyclic_reduced_words())
 def test_is_level_means_length_preserved(phi, w):
-    assert is_level(phi, w) == (len(apply_cyclic(phi, w)) == len(w))
+    assert (_delta(phi, w) == 0) == (len(apply_cyclic(phi, w)) == len(w))
 
 
 @given(one_letter_auts, cyclic_reduced_words(min_size=2))
@@ -97,13 +102,13 @@ def test_is_level_count_identity(phi, w):
     y, x = phi.y, phi.x
     lhs = subword_count(w, y + orc.INV[x])
     rhs = subword_count(w, y + x) + subword_count(w, y + y)
-    assert is_level(phi, w) == (lhs == rhs)
+    assert (_delta(phi, w) == 0) == (lhs == rhs)
 
 
 def test_level_known_examples():
     # ({b}, a^-1) is level on a b a b^-1 but not on abab
-    assert is_level(OneLetterAut("b", "A"), "abaB")
-    assert not is_level(OneLetterAut("b", "A"), "abab")
+    assert _delta(OneLetterAut("b", "A"), "abaB") == 0
+    assert _delta(OneLetterAut("b", "A"), "abab") != 0
 
 
 def test_minimize_examples():

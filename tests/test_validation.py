@@ -74,17 +74,17 @@ BAD_CALLS = (
     'census([3], workers=True)',
     'census([], workers=0)',  # workers is checked even with no length to run
     'census([], workers=True)',
+    'expected_class_size(census([3]), 5)',  # a length the census does not hold
     'subword_count("abab", "")',
     'subword_count("abab", "aA")',
     'subword_count("abab", "ax")',
     'subword_count("xyz", "a")',  # the word, not the pattern, is bad
     'subword_count("aAb", "ab")',
-    'image_length(PRINCIPALS[0], "aA")',
     'from_json("{}")',
     'from_json("[]")',
     'from_json("not json")',
 ) + tuple(
-    f'principal_coincidence_scan([ClassRecord("2.1", 2, 1, 0, "P1", ClassGraph(({w!r},), (), False, False, "P1"))])'
+    f'principal_coincidence_scan([ClassRecord("2.1", ClassGraph(({w!r},), (), False, False, "P1"))])'
     for w in ("ac", "aA")  # a bad letter; not cyclically reduced
 ) + tuple(
     f"from_json({GRAPH_JSON.replace(old, new)!r})"

@@ -14,7 +14,6 @@ from f2aut.word_core import (
     free_reduce,
     invert,
     inverse_letter,
-    is_alternating,
     is_cyclic_word,
     is_reduced,
     least_rotation,
@@ -23,6 +22,7 @@ from f2aut.word_core import (
     pair_counts,
     rotate,
     subword_count,
+    vertex_flags,
     weight,
 )
 
@@ -228,8 +228,11 @@ def test_weight_is_min_tally(w):
 
 
 def test_is_alternating_examples():
-    assert is_alternating("")
-    assert not is_alternating("a")  # a single letter cyclically repeats itself
-    assert is_alternating("ab")
-    assert is_alternating("abAB")
-    assert not is_alternating("aabb")
+    def alternating(w):  # the second vertex_flags flag
+        return vertex_flags(len(w), pair_counts(w))[1]
+
+    assert alternating("")
+    assert not alternating("a")  # a single letter cyclically repeats itself
+    assert alternating("ab")
+    assert alternating("abAB")
+    assert not alternating("aabb")
