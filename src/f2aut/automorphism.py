@@ -304,6 +304,11 @@ def canonical_word(w: str) -> str:
     rotation of a permutation image of the other.
     """
     check_cyclic_word(w)
+    return _canonical(w)
+
+
+def _canonical(w: str) -> str:
+    """canonical_word of a cyclic word the caller has built, without the check."""
     return min(_rotation_keys(w, _longest_run(w)), default="").translate(_FROM_ORDER)
 
 

@@ -22,13 +22,7 @@ from pathlib import Path
 
 from .automorphism import PRINCIPALS, canonical_word
 from .class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict, to_dot, to_json
-from .enumeration import (
-    census,
-    conjecture_report,
-    expected_class_size,
-    principal_coincidence_scan,
-    render_conjecture_report,
-)
+from .enumeration import census, conjecture_report, expected_class_size, render_conjecture_report
 from .minimality import (
     are_conjugate,
     format_token,
@@ -201,18 +195,12 @@ def cmd_enumerate(args) -> int:
 
     scan = {} if args.scan_coincidences else None
 
-    def sink(n, records):
-        if scan is not None:
-            scan[n] = principal_coincidence_scan(records)
-        if out_dir is None:
-            return
+    def write(n, lines):
         with (out_dir / f"classes_{n}.jsonl").open("w") as fh:
-            for rec in records:
-                if args.weight is not None and rec.weight != args.weight:
-                    continue
-                fh.write(json.dumps({"id": rec.class_id, **to_dict(rec.graph)}) + "\n")
+            fh.writelines(f"{line}\n" for line in lines)
 
-    tables = census(lengths, workers=workers, sink=sink)
+    tables = census(lengths, workers=workers, lines=write if out_dir else None, weight=args.weight,
+                    coincidences=None if scan is None else scan.__setitem__)
     rows = _type_count_rows(tables)
     report = conjecture_report(tables) if args.check_conjectures else None
 
@@ -249,12 +237,9 @@ def cmd_enumerate(args) -> int:
         for row in rows:
             print("  ".join(str(cell).rjust(w) for cell, w in zip(row, widths)))
         if report is not None:
-            print()
-            print(render_conjecture_report(report))
+            print("\n" + render_conjecture_report(report))
         if scan is not None:
-            print()
-            total = sum(len(v) for v in scan.values())
-            print(f"coincidence scan: {total} counterexamples")
+            print(f"\ncoincidence scan: {sum(len(v) for v in scan.values())} counterexamples")
             for n, failures in sorted(scan.items()):
                 for f in failures:
                     print(f"  n={n} {f['rule']} at {f['word']}: images {f['images']}")

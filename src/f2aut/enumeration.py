@@ -6,7 +6,7 @@ Pipeline, per length n:
    letter a with Duval's recursion over letter codes, carrying the a-type
    tally and the digraph counts ab, aB down the recursion, and drop each
    subtree in which no completion can be minimal or least mod signed
-   permutation (see _shard_job);
+   permutation (see _shard_rows);
 2. at each leaf, add the wrap digraph and keep the word if it is minimal:
    principal_deltas of the counts has no negative entry.  Only these words
    are built as strings;
@@ -17,27 +17,26 @@ Pipeline, per length n:
    vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
-5. from each vertex not yet in a class, in ascending order, collect its
-   class with minimality.level_closure over these rows, assemble one
-   ClassGraph per class, and number the classes by ascending (size, least
-   word).  A ClassRecord is that number and the graph; its length, size,
-   weight and type are read from the graph;
-6. census counts the records of each length by (type, weight, size, root)
-   in class_stats, the one table it stores; CensusTables reads its other
-   four tables from it.
+5. a class belongs to the shard holding its least vertex, whose job
+   closes it with minimality.level_closure over its own rows (computing
+   only rows outside the shard), assembles a ClassGraph, counts it by
+   (type, weight, size, root) and, if class output is wanted, renders its
+   to_dict line; under coincidences it also scans its rows;
+6. census adds the shard counts into class_stats, its one table, checks
+   that the class sizes add up to the vertices kept, and numbers the lines
+   n.1, n.2, ... by size, then shard order: ascending (size, least word).
+   A ClassRecord, read back from a line, is that number and the graph.
 
-Shards are defined by forced word prefixes, so results are identical for
-any worker count: shard outputs are concatenated in prefix order.  One
-pool scans the shards of every length, so the workers scan length n + 1
-while the parent runs step 5 and the caller's sink for length n.
-principal_coincidence_scan reads the records instead of enumerating again,
-builds the four principal images of each vertex once and compares them with
-_j_equal, without canonical forms.
+Shards are forced word prefixes, so the output is the same for any worker
+count.  With one worker each length is one job; with more, one pool takes
+the shards of every length, and the workers finish length n + 1 while the
+parent writes length n.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
@@ -52,8 +51,8 @@ from .automorphism import (
     canonical_word,
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
-from .class_graph import ClassGraph, TheoremViolation, _assemble
-from .minimality import level_closure, principal_deltas, vertex_row
+from .class_graph import ClassGraph, TheoremViolation, _assemble, to_dict
+from .minimality import _computed_row, level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, SubwordCounts, check_cyclic_word, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
@@ -67,9 +66,10 @@ _STEP = tuple(
 )
 
 
-def _shard_job(args) -> list:
-    """One shard: the vertex_row of every vertex of length n that starts
-    with the given prefix, in ascending order.
+def _shard_rows(n: int, prefix: str) -> tuple:
+    """(rows, heads) of one shard: the vertex_row of every vertex of length
+    n that starts with prefix, by vertex in ascending order, and the
+    vertices with no level image below them, the candidate least vertices.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
@@ -87,12 +87,13 @@ def _shard_job(args) -> list:
     - B as the first letter after the leading a-run: the image swapping b
       and B is smaller at rotation 0.
     """
-    n, prefix = args
+    if n == 0:
+        return {"": level_closure("")[0]}, [""]
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)
     a[1] = first = pre[0]
-    rows = []
+    rows, heads = {}, []
 
     def leaf(tally, ab, aB, cap):
         _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
@@ -105,7 +106,9 @@ def _shard_job(args) -> list:
         tw = order_key(w)
         if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
             return  # a rotation of a permutation image is smaller
-        rows.append(vertex_row(w, pc, deltas))
+        rows[w] = row = vertex_row(w, pc, deltas)
+        if all(order_key(c) >= tw for _, c in row[1]):
+            heads.append(w)
 
     def rec(t, p, tally, ab, aB, run, cap):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
@@ -135,7 +138,32 @@ def _shard_job(args) -> list:
             rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v)
 
     rec(2, 1, 1 - (first & 1), 0, 0, 1, n)
-    return rows
+    return rows, heads
+
+
+def _shard_job(job) -> tuple:
+    """One shard, finished: (class_stats Counter of the classes it owns,
+    rows kept, their to_dict lines by size or None, coincidence failures).
+
+    job is (n, prefix, out, weight, scan).  From each head, level_closure
+    collects the class, computing only rows outside the shard, and the
+    shard owns it when no vertex lies below the head.  With out, lines[size]
+    lists its classes by least vertex, None for one not of weight (if given).
+    """
+    n, prefix, out, wt, scan = job
+    rows, heads = _shard_rows(n, prefix)
+    stats, lines = Counter(), {}
+    for w in heads:
+        g = _assemble(level_closure(w, lambda u: rows.get(u) or _computed_row(u)))
+        if g.vertices[0] != w:
+            continue  # its least vertex owns it
+        size, w_weight = len(g.vertices), weight(w)
+        stats[g.gtype, w_weight, size, g.is_root_class] += 1
+        if out:
+            line = json.dumps(to_dict(g)) if wt in (None, w_weight) else None
+            lines.setdefault(size, []).append(line)
+    failures = [f for w in rows for f in _coincidences(w)] if scan else None
+    return stats, len(rows), lines if out else None, failures
 
 
 def _shard_prefixes(n: int) -> list:
@@ -145,117 +173,79 @@ def _shard_prefixes(n: int) -> list:
     plen = 4 if n < 18 else 5
     prefixes = ["a"]
     for _ in range(plen - 1):
-        prefixes = [
-            p + ch for p in prefixes for ch in LETTERS if ch != inverse_letter(p[-1])
-        ]
-    # _shard_job scans no word whose first letter after the leading a-run is B
+        prefixes = [p + ch for p in prefixes for ch in LETTERS if ch != inverse_letter(p[-1])]
+    # _shard_rows scans no word whose first letter after the leading a-run is B
     return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
-def _check_size(workers, *lengths) -> None:
-    """Validate a worker count and word lengths; bool is not a count."""
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    for n in lengths:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"length must be a nonnegative integer, got {n!r}")
-
-
-def _rows_by_length(lengths, workers: int):
-    """Yield (n, every _shard_job row of length n in vertex order) for each n
-    in lengths, in order.
-
-    Shards go to one pool one at a time, in (n, prefix) order, so the heavy
-    ones spread over the workers, and are read back in the same order.  The
-    pool exists only if some length has more than one shard, has no more
-    workers than shards, and is terminated when the generator ends or is
-    closed.
+def _shard_results(lengths, workers: int, *options):
+    """Yield (n, the _shard_job results of length n in prefix order) for
+    each n in lengths, in order; options are the job's out, weight, scan.
+    With one worker each length is one job, run here.  Else one pool, of no
+    more workers than jobs, takes them one at a time in (n, prefix) order,
+    and is terminated when the generator ends or is closed.
     """
-    prefixes = {n: _shard_prefixes(n) for n in lengths if n}
-    jobs = [(n, prefix) for n in lengths if n for prefix in prefixes[n]]
-    parallel = workers > 1 and any(len(p) > 1 for p in prefixes.values())
+    shards = {n: _shard_prefixes(n) if workers > 1 else ["a"] for n in lengths}
+    jobs = [(n, prefix, *options) for n in lengths for prefix in shards[n]]
+    parallel = len(jobs) > len(lengths)
     with multiprocessing.Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
-        chunks = pool.imap(_shard_job, jobs, chunksize=1) if parallel else map(_shard_job, jobs)
+        results = pool.imap(_shard_job, jobs, chunksize=1) if parallel else map(_shard_job, jobs)
         for n in lengths:
-            if n == 0:
-                yield 0, level_closure("")
-            else:
-                yield n, [row for _ in prefixes[n] for row in next(chunks)]
-
-
-def _minimal_rows(n: int, workers: int = 1) -> list:
-    """All _shard_job rows for length n, in ascending vertex order."""
-    _check_size(workers, n)
-    [(_, rows)] = _rows_by_length([n], workers)
-    return rows
+            yield n, [next(results) for _ in shards[n]]
 
 
 def enumerate_minimal(n: int, workers: int = 1) -> list:
     """Every minimal word of length n that is least in its class mod
     rotation and signed permutation, in ascending order."""
-    return [row[0] for row in _minimal_rows(n, workers)]
+    return sorted((w for rec in enumerate_classes(n, workers) for w in rec.representatives), key=order_key)
 
 
 @dataclass(frozen=True)
 class ClassRecord:
-    """One automorphic conjugacy class of cyclic words of a given length:
-    its id and its graph, from which every other fact is read."""
+    """One class of one length: its id and its graph, from which every other fact is read."""
 
     class_id: str
     graph: ClassGraph
 
-    @property
-    def representatives(self) -> tuple:
-        return self.graph.vertices
+    representatives = property(lambda self: self.graph.vertices)
+    length = property(lambda self: len(self.graph.vertices[0]))
+    size = property(lambda self: len(self.graph.vertices))
+    weight = property(lambda self: weight(self.graph.vertices[0]))  # the module function; constant on a class
+    gtype = property(lambda self: self.graph.gtype)
 
-    @property
-    def length(self) -> int:
-        return len(self.graph.vertices[0])
 
-    @property
-    def size(self) -> int:
-        return len(self.graph.vertices)
-
-    @property
-    def weight(self) -> int:
-        return weight(self.graph.vertices[0])  # the module function; constant on a class
-
-    @property
-    def gtype(self) -> str:
-        return self.graph.gtype
+def _record(line: str) -> ClassRecord:
+    """The ClassRecord of one classes_<n>.jsonl line."""
+    d = json.loads(line)
+    g = ClassGraph(tuple(d["vertices"]), tuple(map(tuple, d["edges"])), d["root"], d["alternating"], d["type"])
+    return ClassRecord(d["id"], g)
 
 
 def enumerate_classes(n: int, workers: int = 1) -> list:
     """All classes at length n as ClassRecord values, numbered n.1, n.2, ...
     ascending by (size, least vertex)."""
-    return _classes(n, _minimal_rows(n, workers))
+    records = []
+    census([n], workers, lambda _, recs: records.extend(recs))
+    return records
 
 
-def _classes(n: int, rows: list) -> list:
-    """The ClassRecords of length n from its rows, in ascending vertex order:
-    from each row not yet in a class, level_closure collects the class from
-    rows; each class is assembled into one graph and numbered."""
-    unclaimed = {row[0]: row for row in rows}
-
-    def claim(w: str) -> tuple:
-        row = unclaimed.pop(w, None)
-        if row is None:
-            raise TheoremViolation(f"level image {w!r} is missing or already in another class")
-        return row
-
-    graphs = [_assemble(level_closure(row[0], claim)) for row in rows if row[0] in unclaimed]
-    graphs.sort(key=lambda g: (len(g.vertices), order_key(g.vertices[0])))
-
-    return [ClassRecord(f"{n}.{k}", g) for k, g in enumerate(graphs, start=1)]
+def _numbered(n: int, parts: list):
+    """Yield the classes_<n>.jsonl lines from each shard's lines by size: by
+    size, then in shard order, which is ascending (size, least vertex).  The
+    ids n.1, n.2, ... count every class, also one whose line is None."""
+    k = 0
+    for size in sorted({s for part in parts for s in part}):
+        for part in parts:
+            for line in part.get(size, ()):
+                k += 1
+                if line is not None:
+                    yield f'{{"id": "{n}.{k}", {line[1:]}'
 
 
 @dataclass
 class CensusTables:
-    """Class counts over all enumerated lengths.
-
-    class_stats is the one stored table; the other four are read-only views
-    of it, computed on each read.
-    """
+    """Class counts over all enumerated lengths: class_stats, the one stored
+    table, and four read-only views of it, computed on each read."""
 
     class_stats: dict  # n -> Counter{(gtype, weight, size, is_root): classes}
 
@@ -295,22 +285,38 @@ def _vertex_total(stats: Counter) -> int:
     return sum(s * c for (_, _, s, _), c in stats.items())
 
 
-def census(lengths, workers: int = 1, sink=None) -> CensusTables:
-    """Enumerate every length in lengths, counting its classes in class_stats.
+def census(lengths, workers: int = 1, sink=None, *, lines=None, weight=None, coincidences=None) -> CensusTables:
+    """Enumerate every length in lengths once, counting its classes in class_stats.
 
-    sink, when given, is called as sink(n, records) after each length.
+    After each length n is counted, and only if given: sink(n, records)
+    gets its ClassRecords and lines(n, lines) an iterator over its
+    classes_<n>.jsonl lines, both of one weight if given (ids count all), and
+    coincidences(n, failures) the principal_coincidence_scan of its vertices.
+    Raises TheoremViolation unless the class sizes add up to the vertices.
     """
-    lengths = sorted(lengths)
-    _check_size(workers, *lengths)
+    lengths = list(lengths)
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:  # bool is not a count
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    for n in lengths:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"length must be a nonnegative integer, got {n!r}")
+    lengths = sorted(set(lengths))  # each length once
     tables = CensusTables({})
-    with contextlib.closing(_rows_by_length(lengths, workers)) as stream:
-        for n, rows in stream:
-            records = _classes(n, rows)
-            tables.class_stats[n] = Counter(
-                (rec.gtype, rec.weight, rec.size, rec.graph.is_root_class) for rec in records
-            )
+    out = sink is not None or lines is not None
+    stream = _shard_results(lengths, workers, out, weight, coincidences is not None)
+    with contextlib.closing(stream):
+        for n, results in stream:
+            stats = sum((r[0] for r in results), Counter())
+            kept = sum(r[1] for r in results)
+            if _vertex_total(stats) != kept:
+                raise TheoremViolation(f"length {n}: the classes hold {_vertex_total(stats)} vertices, the scan kept {kept}")
+            tables.class_stats[n] = stats
+            if lines is not None:
+                lines(n, _numbered(n, [r[2] for r in results]))
             if sink is not None:
-                sink(n, records)
+                sink(n, [_record(line) for line in _numbered(n, [r[2] for r in results])])
+            if coincidences is not None:
+                coincidences(n, [f for r in results for f in r[3]])
     return tables
 
 
@@ -367,6 +373,8 @@ def conjecture_report(tables: CensusTables) -> dict:
     Every item carries ok flags; nothing here raises on a mismatch.
     """
     ns = sorted(tables.class_stats)
+    if not ns:
+        raise ValueError("conjecture_report needs a census of at least one length; this census is empty")
     report = {"lengths": ns}
 
     # (a) classes of size n-k: counts along the diagonal stabilize as n grows
@@ -466,8 +474,7 @@ def render_conjecture_report(report: dict) -> str:
         "weight-4 plain-path classes of size n-k:", report["weight4_path_by_deficit"]
     )
 
-    lines.append("")
-    lines.append("non-root singleton classes by weight:")
+    lines += ["", "non-root singleton classes by weight:"]
     for name, rows in report["nonroot_singletons"].items():
         for row in rows:
             mark = "ok" if row["ok"] else "MISMATCH"
@@ -482,8 +489,7 @@ def render_conjecture_report(report: dict) -> str:
     if not report["weight6_path_by_deficit"]:
         lines.append("  no computed length reaches the settled range")
 
-    lines.append("")
-    lines.append("mean class size per length:")
+    lines += ["", "mean class size per length:"]
     for row in report["mean_class_size"]:
         mark = "ok" if row["ok"] else "OUT OF RANGE"
         lines.append(f"  n={row['n']:2d} mean={row['mean']:>12s} ~ {row['mean_float']:.4f} [{mark}]")
@@ -500,23 +506,26 @@ _COINCIDENCE_RULES = (
 )
 
 
+def _coincidences(w: str) -> list:
+    """The counterexamples at one cyclic word w, in _COINCIDENCE_RULES order."""
+    images = [apply_cyclic(phi, w) for phi in PRINCIPALS]
+    return [
+        {"word": w, "rule": rule, "images": [canonical_word(u) for u in images]}
+        for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES
+        if _j_equal(images[h1], images[h2]) and not _j_equal(images[c1], images[c2])
+    ]
+
+
 def principal_coincidence_scan(records) -> list:
     """Check, for every vertex of one length's records, the implications
     among coincidences of the four principal image classes; returns the
     counterexamples found, in ascending vertex order.
 
     With c_i the canonical form of the i-th principal image, the scanned
-    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  The four
-    images of each vertex are built once and compared with _j_equal, which
-    also tells images of different lengths apart.  Canonical forms are
-    computed only for the images a counterexample reports.
+    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  _coincidences
+    builds the four images of a vertex once and compares them with _j_equal,
+    which also tells images of different lengths apart; it computes
+    canonical forms only for the images a counterexample reports.
     """
-    failures = []
-    for w in sorted((w for rec in records for w in rec.representatives), key=order_key):
-        check_cyclic_word(w)
-        images = [apply_cyclic(phi, w) for phi in PRINCIPALS]
-        for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES:
-            if _j_equal(images[h1], images[h2]) and not _j_equal(images[c1], images[c2]):
-                c = [canonical_word(u) for u in images]
-                failures.append({"word": w, "rule": rule, "images": c})
-    return failures
+    words = sorted((w for rec in records for w in rec.representatives), key=order_key)
+    return [f for w in words for f in _coincidences(check_cyclic_word(w))]

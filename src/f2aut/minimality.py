@@ -45,9 +45,9 @@ from .automorphism import (
     PRINCIPALS,
     Permutation,
     _align,
+    _canonical,
     apply_cyclic,
     canonical_witness,
-    canonical_word,
 )
 from .word_core import (
     TheoremViolation,
@@ -208,7 +208,7 @@ def vertex_row(w: str, pc, deltas) -> tuple:
             img = apply_cyclic(phi, w)
             if len(img) != n:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
-            images.append((p, canonical_word(img)))
+            images.append((p, _canonical(img)))  # reduced by construction
     return (w, images, *vertex_flags(n, pc))
 
 

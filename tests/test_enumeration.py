@@ -18,7 +18,10 @@ from f2aut.enumeration import (
     LIMIT_SEQUENCE,
     CensusTables,
     ClassRecord,
-    _minimal_rows,
+    _numbered,
+    _shard_job,
+    _shard_prefixes,
+    _shard_rows,
     census,
     conjecture_report,
     enumerate_classes,
@@ -60,7 +63,7 @@ def test_enumerate_minimal_matches_oracle(n):
 @pytest.mark.parametrize("n", range(8, 11))
 def test_sharded_rows_match_oracle(n):
     """From n = 8 the scan is split into forced-prefix shards; every shard and both prunes run."""
-    rows = _minimal_rows(n)
+    rows = [row for p in _shard_prefixes(n) for row in _shard_rows(n, p)[0].values()]
     assert [row[0] for row in rows] == oracle_minimal(n)
     for row in rows:
         assert row == orc.o_vertex_row(row[0])
@@ -169,7 +172,7 @@ _scan_shard = enumeration._shard_job
 
 
 def _shard_job_failing_at_9(job):
-    if job == (9, "abab"):
+    if job[:2] == (9, "abab"):
         raise TheoremViolation("injected in a worker")
     return _scan_shard(job)
 
@@ -230,17 +233,81 @@ def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
     assert not [p for p in prefixes if p.lstrip("a").startswith("B")]
 
 
-def test_classes_reject_a_missing_level_image():
+def _census_of_rows(monkeypatch, rows):
+    """census([6]) with the scan replaced by one shard of the given rows."""
+
+    def one_shard(n, prefix):
+        heads = [w for w, images, _, _ in rows if all(order_key(c) >= order_key(w) for _, c in images)]
+        return {row[0]: row for row in rows}, heads
+
+    monkeypatch.setattr(enumeration, "_shard_rows", one_shard)
+    return census([6])
+
+
+def test_classes_reject_a_missing_level_image(monkeypatch):
+    # aaaabb is below aaabAb, so aaabAb's class is left to a row nobody kept
     rows = [("aaabAb", [(1, "aaaabb")], False, False)]
-    with pytest.raises(TheoremViolation):
-        enumeration._classes(6, rows)
+    with pytest.raises(TheoremViolation, match="the classes hold 0 vertices, the scan kept 1"):
+        _census_of_rows(monkeypatch, rows)
 
 
-def test_classes_reject_a_one_way_level_edge():
-    # aaaabb has no edge back to aaabAb
+def test_classes_reject_a_one_way_level_edge(monkeypatch):
+    # aaaabb has no edge back to aaabAb, so only the singleton aaaabb is owned
     rows = [("aaaabb", [], False, False), ("aaabAb", [(1, "aaaabb")], False, False)]
-    with pytest.raises(TheoremViolation):
-        enumeration._classes(6, rows)
+    with pytest.raises(TheoremViolation, match="the classes hold 1 vertices, the scan kept 2"):
+        _census_of_rows(monkeypatch, rows)
+
+
+_rows_of_shard = enumeration._shard_rows
+
+
+def test_a_row_dropped_from_a_shard_breaks_the_vertex_total(monkeypatch):
+    def drop_one(n, prefix):
+        rows, heads = _rows_of_shard(n, prefix)
+        if prefix in ("a", "aaab"):  # the one-job shard, and one of the n >= 8 shards
+            # a row that its class's least vertex reaches: that closure computes it again
+            del rows[next(w for w, row in rows.items() if row[1] and w not in heads)]
+        return rows, heads
+
+    monkeypatch.setattr(enumeration, "_shard_rows", drop_one)
+    for workers in (1, 2):
+        with pytest.raises(TheoremViolation, match="length 9: the classes hold 177 vertices, the scan kept 176"):
+            census([9], workers=workers)
+
+
+@pytest.mark.parametrize("n", range(8, 14))
+def test_shards_finish_the_classes_one_job_finds(n):
+    """Each class is owned by the shard of its least vertex, also when it spans shards."""
+    whole = _shard_job((n, "a", True, None, True))
+    parts = [_shard_job((n, p, True, None, True)) for p in _shard_prefixes(n)]
+    assert sum((part[0] for part in parts), Counter()) == whole[0]
+    assert sum(part[1] for part in parts) == whole[1] == enumeration._vertex_total(whole[0])
+    assert list(_numbered(n, [part[2] for part in parts])) == list(_numbered(n, [whole[2]]))
+    assert [f for part in parts for f in part[3]] == whole[3] == []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_class_output_does_not_change_the_tables(workers):
+    counts = census(range(14), workers)
+    written, scanned = {}, {}
+    full = census(range(14), workers, lines=lambda n, text: written.update({n: list(text)}), coincidences=scanned.__setitem__)
+    assert full.class_stats == counts.class_stats
+    assert [len(written[n]) for n in range(14)] == [full.class_totals[n] for n in range(14)]
+    assert scanned == {n: [] for n in range(14)}
+
+
+def test_repeated_lengths_are_enumerated_once():
+    calls = []
+    tables = census([3, 3], sink=lambda n, recs: calls.append((n, len(recs))))
+    assert calls == [(3, 1)]
+    assert list(tables.class_stats) == [3]
+
+
+def test_weight_drops_lines_but_not_ids():
+    every, some = {}, {}
+    census([9], lines=lambda n, text: every.update({n: list(text)}))
+    census([9], workers=2, lines=lambda n, text: some.update({n: list(text)}), weight=3)
+    assert some[9] and some[9] == [line for line in every[9] if '"weight": 3,' in line]
 
 
 def test_record_json_shape():

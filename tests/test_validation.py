@@ -75,6 +75,7 @@ BAD_CALLS = (
     'census([], workers=0)',  # workers is checked even with no length to run
     'census([], workers=True)',
     'expected_class_size(census([3]), 5)',  # a length the census does not hold
+    'conjecture_report(census([]))',  # a census of no length
     'subword_count("abab", "")',
     'subword_count("abab", "aA")',
     'subword_count("abab", "ax")',
