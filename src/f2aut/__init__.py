@@ -40,14 +40,12 @@ from .enumeration import (
     enumerate_classes,
     enumerate_minimal,
     expected_class_size,
-    principal_coincidence_scan,
     render_conjecture_report,
 )
 from .minimality import (
     are_conjugate,
     format_token,
     is_minimal,
-    is_root,
     minimize,
     parse_token,
     principal_deltas,

@@ -17,11 +17,12 @@ Pipeline, per length n:
    vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
-5. a class belongs to the shard holding its least vertex, whose job
-   closes it with minimality.level_closure over its own rows (computing
-   only rows outside the shard), assembles a ClassGraph, counts it by
-   (type, weight, size, root) and, if class output is wanted, renders its
-   to_dict line; under coincidences it also scans its rows;
+5. _shard_job closes the class of each row with no level image below it
+   with minimality.level_closure over its own rows (computing only rows
+   outside the shard), owns it when its least vertex is the row, counts
+   its ClassGraph by (type, weight, size, root) and, if class output is
+   wanted, renders its to_dict line; under coincidences it also scans its
+   rows.  enumerate_minimal reads only the scan's vertices;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the vertices kept, and numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word).
@@ -53,7 +54,7 @@ from .automorphism import (
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, to_dict
 from .minimality import _computed_row, level_closure, principal_deltas, vertex_row
-from .word_core import LETTERS, SubwordCounts, check_cyclic_word, inverse_letter, order_key, weight
+from .word_core import LETTERS, SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 
@@ -66,10 +67,9 @@ _STEP = tuple(
 )
 
 
-def _shard_rows(n: int, prefix: str) -> tuple:
-    """(rows, heads) of one shard: the vertex_row of every vertex of length
-    n that starts with prefix, by vertex in ascending order, and the
-    vertices with no level image below them, the candidate least vertices.
+def _shard_rows(n: int, prefix: str) -> dict:
+    """The rows of one shard: the vertex_row of every vertex of length n
+    that starts with prefix, by vertex in ascending order.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
@@ -88,12 +88,12 @@ def _shard_rows(n: int, prefix: str) -> tuple:
       and B is smaller at rotation 0.
     """
     if n == 0:
-        return {"": level_closure("")[0]}, [""]
+        return {"": level_closure("")[0]}
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)
     a[1] = first = pre[0]
-    rows, heads = {}, []
+    rows = {}
 
     def leaf(tally, ab, aB, cap):
         _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
@@ -106,9 +106,7 @@ def _shard_rows(n: int, prefix: str) -> tuple:
         tw = order_key(w)
         if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
             return  # a rotation of a permutation image is smaller
-        rows[w] = row = vertex_row(w, pc, deltas)
-        if all(order_key(c) >= tw for _, c in row[1]):
-            heads.append(w)
+        rows[w] = vertex_row(w, pc, deltas)
 
     def rec(t, p, tally, ab, aB, run, cap):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
@@ -138,22 +136,25 @@ def _shard_rows(n: int, prefix: str) -> tuple:
             rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v)
 
     rec(2, 1, 1 - (first & 1), 0, 0, 1, n)
-    return rows, heads
+    return rows
 
 
 def _shard_job(job) -> tuple:
     """One shard, finished: (class_stats Counter of the classes it owns,
     rows kept, their to_dict lines by size or None, coincidence failures).
 
-    job is (n, prefix, out, weight, scan).  From each head, level_closure
-    collects the class, computing only rows outside the shard, and the
-    shard owns it when no vertex lies below the head.  With out, lines[size]
-    lists its classes by least vertex, None for one not of weight (if given).
+    job is (n, prefix, out, weight, scan).  From each row with no level
+    image below it, level_closure collects the class, computing only rows
+    outside the shard, and the shard owns the class when its least vertex
+    is the row.  With out, lines[size] lists its classes by least vertex,
+    None for one not of weight (if given).
     """
     n, prefix, out, wt, scan = job
-    rows, heads = _shard_rows(n, prefix)
+    rows = _shard_rows(n, prefix)
     stats, lines = Counter(), {}
-    for w in heads:
+    for w, (_, images, _, _) in rows.items():
+        if images and min(order_key(c) for _, c in images) < order_key(w):
+            continue  # not the least vertex of its class
         g = _assemble(level_closure(w, lambda u: rows.get(u) or _computed_row(u)))
         if g.vertices[0] != w:
             continue  # its least vertex owns it
@@ -164,6 +165,11 @@ def _shard_job(job) -> tuple:
             lines.setdefault(size, []).append(line)
     failures = [f for w in rows for f in _coincidences(w)] if scan else None
     return stats, len(rows), lines if out else None, failures
+
+
+def _shard_words(job) -> list:
+    """The vertices of one shard (n, prefix), in ascending order."""
+    return list(_shard_rows(*job))
 
 
 def _shard_prefixes(n: int) -> list:
@@ -178,18 +184,29 @@ def _shard_prefixes(n: int) -> list:
     return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
-def _shard_results(lengths, workers: int, *options):
-    """Yield (n, the _shard_job results of length n in prefix order) for
-    each n in lengths, in order; options are the job's out, weight, scan.
-    With one worker each length is one job, run here.  Else one pool, of no
-    more workers than jobs, takes them one at a time in (n, prefix) order,
-    and is terminated when the generator ends or is closed.
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an int of at least least; a bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
+
+
+def _shard_results(job, lengths, workers: int, *options):
+    """Yield (n, [job((n, prefix, *options)) for each shard prefix]) for each
+    distinct n in lengths, ascending; job is a module-level function.  With
+    one worker each length is one job, run here.  Else one pool, of no more
+    workers than jobs, takes them one at a time in (n, prefix) order, and
+    is terminated when the generator ends or is closed.
     """
+    lengths = list(lengths)
+    _check_count("workers", workers, 1)
+    for n in lengths:
+        _check_count("length", n, 0)
+    lengths = sorted(set(lengths))  # each length once
     shards = {n: _shard_prefixes(n) if workers > 1 else ["a"] for n in lengths}
     jobs = [(n, prefix, *options) for n in lengths for prefix in shards[n]]
     parallel = len(jobs) > len(lengths)
     with multiprocessing.Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
-        results = pool.imap(_shard_job, jobs, chunksize=1) if parallel else map(_shard_job, jobs)
+        results = pool.imap(job, jobs, chunksize=1) if parallel else map(job, jobs)
         for n in lengths:
             yield n, [next(results) for _ in shards[n]]
 
@@ -197,7 +214,7 @@ def _shard_results(lengths, workers: int, *options):
 def enumerate_minimal(n: int, workers: int = 1) -> list:
     """Every minimal word of length n that is least in its class mod
     rotation and signed permutation, in ascending order."""
-    return sorted((w for rec in enumerate_classes(n, workers) for w in rec.representatives), key=order_key)
+    return [w for _, parts in _shard_results(_shard_words, [n], workers) for part in parts for w in part]
 
 
 @dataclass(frozen=True)
@@ -291,19 +308,16 @@ def census(lengths, workers: int = 1, sink=None, *, lines=None, weight=None, coi
     After each length n is counted, and only if given: sink(n, records)
     gets its ClassRecords and lines(n, lines) an iterator over its
     classes_<n>.jsonl lines, both of one weight if given (ids count all), and
-    coincidences(n, failures) the principal_coincidence_scan of its vertices.
-    Raises TheoremViolation unless the class sizes add up to the vertices.
+    coincidences(n, failures) the coincidence failures of its vertices, in
+    ascending order (see _coincidences).  Each distinct length is enumerated
+    once, in ascending order.  Raises TheoremViolation unless the class
+    sizes add up to the vertices.
     """
-    lengths = list(lengths)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:  # bool is not a count
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    for n in lengths:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"length must be a nonnegative integer, got {n!r}")
-    lengths = sorted(set(lengths))  # each length once
+    if weight is not None:
+        _check_count("weight", weight, 0)
     tables = CensusTables({})
     out = sink is not None or lines is not None
-    stream = _shard_results(lengths, workers, out, weight, coincidences is not None)
+    stream = _shard_results(_shard_job, lengths, workers, out, weight, coincidences is not None)
     with contextlib.closing(stream):
         for n, results in stream:
             stats = sum((r[0] for r in results), Counter())
@@ -507,7 +521,8 @@ _COINCIDENCE_RULES = (
 
 
 def _coincidences(w: str) -> list:
-    """The counterexamples at one cyclic word w, in _COINCIDENCE_RULES order."""
+    """The counterexamples at one cyclic word w, in _COINCIDENCE_RULES order;
+    only the images a counterexample reports are canonicalized."""
     images = [apply_cyclic(phi, w) for phi in PRINCIPALS]
     return [
         {"word": w, "rule": rule, "images": [canonical_word(u) for u in images]}
@@ -515,17 +530,3 @@ def _coincidences(w: str) -> list:
         if _j_equal(images[h1], images[h2]) and not _j_equal(images[c1], images[c2])
     ]
 
-
-def principal_coincidence_scan(records) -> list:
-    """Check, for every vertex of one length's records, the implications
-    among coincidences of the four principal image classes; returns the
-    counterexamples found, in ascending vertex order.
-
-    With c_i the canonical form of the i-th principal image, the scanned
-    implications are 1=2 <=> 3=4, 1=3 => 2=4, and 1=4 <=> 2=3.  _coincidences
-    builds the four images of a vertex once and compares them with _j_equal,
-    which also tells images of different lengths apart; it computes
-    canonical forms only for the images a counterexample reports.
-    """
-    words = sorted((w for rec in records for w in rec.representatives), key=order_key)
-    return [f for w in words for f in _coincidences(check_cyclic_word(w))]

@@ -26,13 +26,15 @@ rows of one class breadth-first.  build_graph and are_conjugate compute
 each row; the enumeration reads them from the rows of its scan.
 
 are_conjugate decides whether two words lie in the same automorphic
-conjugacy class and can produce a replayable witness: a token sequence
+conjugacy class and produces a replayable witness: a token sequence
 (one-letter automorphisms and their powers, signed permutations,
 rotations) that transforms the cyclically reduced first word, step by
 step, into the cyclically reduced second word exactly.  Each greedy run
 of k >= 2 steps is one token W[y,x]^k on either reduction leg.  Along
 the BFS path each principal image is aligned to the canonical vertex its
 parent row already holds, so only the two minimal words are canonicalized.
+The same alignment, identity permutation first, gives the rotation after
+each inverse run back up the second word's reduction.
 """
 
 from __future__ import annotations
@@ -80,12 +82,6 @@ def is_minimal(w: str) -> bool:
     """No automorphism shortens w: no principal has a negative length change."""
     check_cyclic_word(w)
     return min(principal_deltas(*letter_tally(w), pair_counts(w))) >= 0
-
-
-def is_root(w: str) -> bool:
-    """The boundary case of minimality (see vertex_flags); never a single letter."""
-    check_cyclic_word(w)
-    return vertex_flags(len(w), pair_counts(w))[0]
 
 
 def _run_length(p: int, w: str, pc, deltas) -> int:
@@ -295,21 +291,12 @@ def replay_witness(w: str, tokens) -> str:
     return cur
 
 
-def _rotation_aligning(cur: str, target: str) -> int:
-    """k with rotate(cur, k) == target; the words must be rotations of each other."""
-    k = (cur + cur).find(target) if len(cur) == len(target) else -1
-    if not 0 <= k < max(len(cur), 1):
-        raise TheoremViolation(f"{cur!r} is not a rotation of {target!r}")
-    return k
-
-
-def are_conjugate(w: str, v: str, witness: bool = True):
+def are_conjugate(w: str, v: str):
     """Decide whether w and v lie in the same automorphic conjugacy class.
 
     Inputs need not be reduced.  Returns (flag, tokens) where tokens is a
     replayable witness (see replay_witness) carrying cyclic_reduce(w) onto
-    cyclic_reduce(v) exactly, or None when witness=False or the words are
-    not conjugate.
+    cyclic_reduce(v) exactly, or None when the words are not conjugate.
     """
     cw = cyclic_reduce(check_word(w))[0]
     cv = cyclic_reduce(check_word(v))[0]
@@ -328,8 +315,6 @@ def are_conjugate(w: str, v: str, witness: bool = True):
             parents.setdefault(c, (u, p))
     if canon_v not in parents:
         return False, None
-    if not witness:
-        return True, None
     path = []  # (principal index, canonical vertex it reaches), from canon_v back
     c = canon_v
     while parents[c] is not None:
@@ -361,7 +346,7 @@ def are_conjugate(w: str, v: str, witness: bool = True):
         raise TheoremViolation(f"witness reaches {cur!r}, not the minimal word {mv!r}")
     for (phi, k), start in zip(reversed(v_runs), reversed(v_states[:-1])):
         emit((phi.inverse(), k))
-        emit(_rotation_aligning(cur, start))
+        emit(_align(cur, start)[1])  # a rotation: the identity comes first in ALL_PERMUTATIONS
     if cur != cv:
         raise TheoremViolation(f"witness reaches {cur!r}, not {cv!r}")
     return True, tuple(format_token(t) for t in tokens)

@@ -20,8 +20,7 @@ from f2aut.class_graph import (
     to_json,
 )
 from f2aut.enumeration import enumerate_classes
-from f2aut.minimality import is_root
-from f2aut.word_core import order_key, weight
+from f2aut.word_core import order_key, pair_counts, vertex_flags, weight
 
 # one frozen example per shape, with the full expected vertex set
 KNOWN_CLASSES = [
@@ -234,6 +233,6 @@ def test_enumerated_graphs_are_consistent():
             # at most one alternating vertex
             assert sum(1 for v in g.vertices if orc.o_vertex_row(v)[3]) <= 1
             # vertex profiles agree with the stored flags
-            assert g.is_root_class == any(is_root(v) for v in g.vertices)
+            assert g.is_root_class == any(vertex_flags(len(v), pair_counts(v))[0] for v in g.vertices)
             arcs = {(u, v) for u, v, _ in g.edges}
             assert all((v, u) in arcs for u, v in arcs)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 import oracles as orc
 from conftest import cyclic_reduced_words, run_heavy_words
 from f2aut import enumeration
-from f2aut.class_graph import GRAPH_TYPES, ClassGraph, TheoremViolation, to_dict
+from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
     LIMIT_SEQUENCE,
     CensusTables,
     ClassRecord,
+    _coincidences,
     _numbered,
     _shard_job,
     _shard_prefixes,
@@ -27,7 +28,6 @@ from f2aut.enumeration import (
     enumerate_classes,
     enumerate_minimal,
     expected_class_size,
-    principal_coincidence_scan,
     render_conjecture_report,
 )
 from f2aut.word_core import order_key, weight
@@ -63,7 +63,7 @@ def test_enumerate_minimal_matches_oracle(n):
 @pytest.mark.parametrize("n", range(8, 11))
 def test_sharded_rows_match_oracle(n):
     """From n = 8 the scan is split into forced-prefix shards; every shard and both prunes run."""
-    rows = [row for p in _shard_prefixes(n) for row in _shard_rows(n, p)[0].values()]
+    rows = [row for p in _shard_prefixes(n) for row in _shard_rows(n, p).values()]
     assert [row[0] for row in rows] == oracle_minimal(n)
     for row in rows:
         assert row == orc.o_vertex_row(row[0])
@@ -73,6 +73,21 @@ def test_enumerate_minimal_is_sorted_and_canonical():
     words = enumerate_minimal(9)
     assert words == sorted(words, key=order_key)
     assert all(orc.o_canonical(w) == w for w in words)
+
+
+@pytest.mark.parametrize("n", range(14))
+def test_enumerate_minimal_is_the_vertex_set_of_the_classes(n):
+    words = sorted((w for rec in enumerate_classes(n) for w in rec.representatives), key=order_key)
+    assert enumerate_minimal(n, 1) == enumerate_minimal(n, 2) == words
+
+
+def test_enumerate_minimal_assembles_and_renders_no_class(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_minimal reached the class path")
+
+    monkeypatch.setattr(enumeration, "_assemble", refuse)
+    monkeypatch.setattr(enumeration, "_record", refuse)
+    assert enumerate_minimal(9) == oracle_minimal(9)
 
 
 @pytest.mark.parametrize("n", (6, 8, 9))
@@ -237,8 +252,7 @@ def _census_of_rows(monkeypatch, rows):
     """census([6]) with the scan replaced by one shard of the given rows."""
 
     def one_shard(n, prefix):
-        heads = [w for w, images, _, _ in rows if all(order_key(c) >= order_key(w) for _, c in images)]
-        return {row[0]: row for row in rows}, heads
+        return {row[0]: row for row in rows}
 
     monkeypatch.setattr(enumeration, "_shard_rows", one_shard)
     return census([6])
@@ -263,11 +277,13 @@ _rows_of_shard = enumeration._shard_rows
 
 def test_a_row_dropped_from_a_shard_breaks_the_vertex_total(monkeypatch):
     def drop_one(n, prefix):
-        rows, heads = _rows_of_shard(n, prefix)
+        rows = _rows_of_shard(n, prefix)
         if prefix in ("a", "aaab"):  # the one-job shard, and one of the n >= 8 shards
-            # a row that its class's least vertex reaches: that closure computes it again
-            del rows[next(w for w, row in rows.items() if row[1] and w not in heads)]
-        return rows, heads
+            # a row with a level image below it, which its class's least
+            # vertex reaches: that closure computes it again
+            below = (w for w, (_, images, _, _) in rows.items() if any(order_key(c) < order_key(w) for _, c in images))
+            del rows[next(below)]
+        return rows
 
     monkeypatch.setattr(enumeration, "_shard_rows", drop_one)
     for workers in (1, 2):
@@ -367,14 +383,7 @@ def test_conjecture_report_shape_and_small_range():
 
 @pytest.mark.parametrize("n", range(13))
 def test_no_principal_coincidence_failures(n):
-    assert principal_coincidence_scan(enumerate_classes(n)) == []
-
-
-def _stub_records(words):
-    return [
-        ClassRecord(f"0.{i}", ClassGraph((w,), (), False, False, "P1"))
-        for i, w in enumerate(words)
-    ]
+    assert [f for w in enumerate_minimal(n) for f in _coincidences(w)] == []
 
 
 def _brute_force_scan(words):
@@ -389,20 +398,12 @@ def _brute_force_scan(words):
     return failures
 
 
-def test_coincidence_scan_reads_records_in_vertex_order():
-    # non-minimal words break the implications, and the scan accepts any records
-    words = orc.necklaces(6)
-    failures = principal_coincidence_scan(_stub_records(words[::-1]))
-    assert failures == principal_coincidence_scan(_stub_records(words))
-    keys = [order_key(f["word"]) for f in failures]
-    assert keys and keys == sorted(keys)
-    assert failures == _brute_force_scan(words)
-
-
 @given(st.lists(st.one_of(cyclic_reduced_words(max_size=60), run_heavy_words()), max_size=6))
 @example(["aaBaBB", "aabAbABB", "abAB", ""])  # two counterexamples to 13=>24
+@example(orc.necklaces(6))  # non-minimal words break the implications
 def test_coincidence_scan_matches_brute_force(words):
-    assert principal_coincidence_scan(_stub_records(words)) == _brute_force_scan(words)
+    scanned = [f for w in sorted(words, key=order_key) for f in _coincidences(w)]
+    assert scanned == _brute_force_scan(words)
 
 
 def test_class_record_is_frozen():

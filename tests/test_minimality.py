@@ -15,20 +15,19 @@ from f2aut.automorphism import (
     PRINCIPALS,
     OneLetterAut,
     Permutation,
+    _align,
     apply_cyclic,
     apply_whitehead,
     canonical_word,
 )
 from f2aut.class_graph import build_graph, to_dict
 from f2aut.minimality import (
-    _rotation_aligning,
     _run_length,
     _shrinking,
     apply_token,
     are_conjugate,
     format_token,
     is_minimal,
-    is_root,
     level_closure,
     minimize,
     parse_token,
@@ -45,6 +44,7 @@ from f2aut.word_core import (
     pair_counts,
     rotate,
     subword_count,
+    vertex_flags,
 )
 
 one_letter_auts = st.sampled_from(ALL_ONE_LETTER)
@@ -74,11 +74,9 @@ def test_is_minimal_matches_definition(w):
 
 
 def test_is_root_examples():
-    assert is_root("abAB")
-    assert is_root("aabb")
-    assert not is_root("a")  # single letters are excluded
-    assert not is_root("aaaa")
-    assert not is_root("aabab")
+    # the root flag of vertex_flags; single letters are excluded
+    for w, root in (("abAB", True), ("aabb", True), ("a", False), ("aaaa", False), ("aabab", False)):
+        assert vertex_flags(len(w), pair_counts(w))[0] == root, w
 
 
 def _delta(phi, w: str) -> int:
@@ -262,10 +260,9 @@ def test_are_conjugate_known_pairs():
     assert flag and orc.replay_tokens("aaaa", tokens) == "aaaa"
     flag, tokens = are_conjugate("abab", "aa")  # ({a}, b^-1) carries one to the other
     assert flag and orc.replay_tokens("abab", tokens) == "aa"
-    assert are_conjugate("aaaa", "aabb", witness=False) == (False, None)
-    assert are_conjugate("a", "", witness=False) == (False, None)
-    assert are_conjugate("aabb", "abAB", witness=False) == (False, None)
-    assert are_conjugate("aabb", "abAB") == (False, None)  # witness request changes nothing
+    assert are_conjugate("aaaa", "aabb") == (False, None)
+    assert are_conjugate("a", "") == (False, None)
+    assert are_conjugate("aabb", "abAB") == (False, None)
 
 
 @given(cyclic_reduced_words(min_size=1, max_size=10), st.integers(0, 9), permutations)
@@ -305,26 +302,20 @@ def test_are_conjugate_accepts_automorphic_images(w, chain):
 @given(cyclic_reduced_words(max_size=8), cyclic_reduced_words(max_size=8))
 @settings(max_examples=60)
 def test_are_conjugate_is_symmetric(w, v):
-    assert are_conjugate(w, v, witness=False)[0] == are_conjugate(v, w, witness=False)[0]
-
-
-@given(cyclic_reduced_words(max_size=10))
-def test_witness_flag_false_suppresses_tokens(w):
-    flag, tokens = are_conjugate(w, rotate(w, 1), witness=False)
-    assert flag and tokens is None
+    assert are_conjugate(w, v)[0] == are_conjugate(v, w)[0]
 
 
 def test_rotation_aligning_finds_the_least_shift():
-    assert _rotation_aligning("", "") == 0
-    assert _rotation_aligning("abAB", "ABab") == 2
-    assert _rotation_aligning("abab", "abab") == 0
-    assert _rotation_aligning("abab", "baba") == 1
+    # are_conjugate reads each rotation back up the second word's reduction
+    # from _align, which tries the identity permutation first
+    for cur, target, k in (("", "", 0), ("abAB", "ABab", 2), ("abab", "abab", 0), ("abab", "baba", 1)):
+        assert _align(cur, target) == (ALL_PERMUTATIONS[0], k)
 
 
 @pytest.mark.parametrize("cur, target", (("ab", "aa"), ("ab", "abab"), ("", "a"), ("a", "")))
 def test_rotation_aligning_raises_theorem_violation(cur, target):
     with pytest.raises(TheoremViolation):
-        _rotation_aligning(cur, target)
+        _align(cur, target)
 
 
 def test_theorem_violation_is_one_class():

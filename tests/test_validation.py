@@ -58,7 +58,6 @@ BAD_CALLS = (
     'WhiteheadII(frozenset(), "ab")',
     'triangle_decompose("ab", "B")',
     'is_minimal("aA")',
-    'is_root("abB")',
     'minimize("Aa")',
     'canonical_word("abA")',
     'canonical_witness("abx")',
@@ -74,6 +73,9 @@ BAD_CALLS = (
     'census([3], workers=True)',
     'census([], workers=0)',  # workers is checked even with no length to run
     'census([], workers=True)',
+    'census([6], lines=lambda n, text: None, weight=-1)',  # a weight no class has
+    'census([6], lines=lambda n, text: None, weight="3")',
+    'census([6], lines=lambda n, text: None, weight=True)',
     'expected_class_size(census([3]), 5)',  # a length the census does not hold
     'conjecture_report(census([]))',  # a census of no length
     'subword_count("abab", "")',
@@ -84,9 +86,6 @@ BAD_CALLS = (
     'from_json("{}")',
     'from_json("[]")',
     'from_json("not json")',
-) + tuple(
-    f'principal_coincidence_scan([ClassRecord("2.1", ClassGraph(({w!r},), (), False, False, "P1"))])'
-    for w in ("ac", "aA")  # a bad letter; not cyclically reduced
 ) + tuple(
     f"from_json({GRAPH_JSON.replace(old, new)!r})"
     for old, new in (
