@@ -4,17 +4,21 @@ Pipeline, per length n:
 
 1. scan the cyclically reduced necklaces (least rotations) containing the
    letter a with Duval's recursion over letter codes, carrying the a-type
-   tally and the digraph counts ab, aB down the recursion, and drop each
-   subtree in which no completion can be minimal or least mod signed
-   permutation (see _shard_rows);
+   tally, the digraph counts ab, aB and the non-identity signed
+   permutation images still tied with the prefix down the recursion, and
+   drop each subtree in which no completion can be minimal or least mod
+   signed permutation (see _shard_rows);
 2. at each leaf, add the wrap digraph and keep the word if it is minimal:
    principal_deltas of the counts has no negative entry.  Only these words
    are built as strings;
-3. keep the least representative mod rotation and signed permutation: no
-   _rotation_keys key starting with the word's leading a-run is below the
-   word's own.  Only the seven non-identity images are translated, since
-   no rotation of a necklace undercuts it.  Each surviving word is one
-   vertex of one class graph;
+3. keep the least representative mod rotation and signed permutation.  A
+   rotation of an image below the word starts at a run as long as its
+   leading a-run, so the scan compares each such image with the prefix,
+   letter by letter, and drops the subtree of any that falls below.  Only
+   when one is still tied at the leaf does the full filter run: no
+   _rotation_keys key starting with the leading a-run, of the seven
+   non-identity images, is below the word's own.  Each surviving word is
+   one vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
 5. _shard_job closes the class of each row with no level image below it
@@ -44,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphism import (
+    ALL_PERMUTATIONS,
     PRINCIPALS,
     _NON_IDENTITY_TABLES_TO_A,
     _j_equal,
@@ -66,6 +71,13 @@ _STEP = tuple(
     for v, y in enumerate(LETTERS)
 )
 
+# code x -> the code maps (image code by code) of the signed permutations
+# other than the identity that send x to a
+_MAPS_TO_A = tuple(
+    [m for pi in ALL_PERMUTATIONS[1:] if (m := tuple(_CODE[pi(c)] for c in LETTERS))[x] == 0]
+    for x in range(4)
+)
+
 
 def _shard_rows(n: int, prefix: str) -> dict:
     """The rows of one shard: the vertex_row of every vertex of length n
@@ -77,7 +89,7 @@ def _shard_rows(n: int, prefix: str) -> dict:
     pair removes only non-reduced completions, so the period bookkeeping is
     unaffected.  The recursion carries the a-type tally and the digraph
     counts ab, aB of the letters placed; the leaf derives aa and bb from
-    them as pair_counts does.  Three necessary conditions drop a subtree
+    them as pair_counts does.  Four necessary conditions drop a subtree
     early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
@@ -85,7 +97,19 @@ def _shard_rows(n: int, prefix: str) -> dict:
     - a run of one letter longer than the leading a-run (cap): the image
       sending that letter to a has a smaller rotation;
     - B as the first letter after the leading a-run: the image swapping b
-      and B is smaller at rotation 0.
+      and B is smaller at rotation 0;
+    - a tied image falls below the prefix.  Once a run starting at s is as
+      long as the leading a-run, each non-identity signed permutation m
+      sending its letter to a is tied: m(a) rotated to s starts like a.
+      Each further letter a[t] compares m(a[t]) with a[t - s + 1]: smaller
+      drops the subtree, larger drops m, equal keeps it tied.
+
+    A rotation of an image below a necklace starts with its leading a-run,
+    so it starts at another run exactly that long (the b<->B image at
+    rotation 0 is never below, by the third rule).  It was tied there and,
+    not having fallen below on the placed letters, is still tied at the
+    leaf.  Only then does the leaf run the full filter, _rotation_keys,
+    which also compares the wrapped-around letters.
     """
     if n == 0:
         return {"": level_closure("")[0]}
@@ -95,7 +119,7 @@ def _shard_rows(n: int, prefix: str) -> dict:
     a[1] = first = pre[0]
     rows = {}
 
-    def leaf(tally, ab, aB, cap):
+    def leaf(tally, ab, aB, cap, tied):
         _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
         ab, aB = ab + dab, aB + daB
         pc = SubwordCounts(tally - ab - aB, n - tally - ab - aB, ab, aB)  # as in pair_counts
@@ -103,17 +127,19 @@ def _shard_rows(n: int, prefix: str) -> dict:
         if min(deltas) < 0:
             return  # not minimal
         w = "".join([LETTERS[c] for c in a[1:]])
-        tw = order_key(w)
-        if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
-            return  # a rotation of a permutation image is smaller
+        if tied:  # only the wrap-around letters of a tied image are left to compare
+            tw = order_key(w)
+            if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
+                return  # a rotation of a permutation image is smaller
         rows[w] = vertex_row(w, pc, deltas)
 
-    def rec(t, p, tally, ab, aB, run, cap):
+    def rec(t, p, tally, ab, aB, run, cap, tied):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
-        # leading a-run, or n while every letter placed is an a
+        # leading a-run, or n while every letter placed is an a; tied lists the
+        # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
         if t > n:
             if n % p == 0 and a[n] != first ^ 2:
-                leaf(tally, ab, aB, cap)
+                leaf(tally, ab, aB, cap, tied)
             return
         prev = a[t - 1]
         lo = a[t - p]
@@ -131,11 +157,21 @@ def _shard_rows(n: int, prefix: str) -> dict:
             need = 2 * (ab_v if ab_v > aB_v else aB_v)
             if tally_v + rem < need or t - tally_v + rem < need:
                 continue
-            a[t] = v
-            cap_v = t - 1 if cap == n and v else cap
-            rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v)
+            tied_v = []
+            for s, m in tied:
+                d = a[t - s + 1]
+                if m[v] < d:
+                    break  # m(a) rotated to s is smaller on every completion
+                if m[v] == d:
+                    tied_v.append((s, m))
+            else:
+                a[t] = v
+                cap_v = t - 1 if cap == n and v else cap
+                if run_v == cap_v:  # a run as long as the leading one: its images to a start tied
+                    tied_v += [(t - run_v + 1, m) for m in _MAPS_TO_A[v]]
+                rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
 
-    rec(2, 1, 1 - (first & 1), 0, 0, 1, n)
+    rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [])
     return rows
 
 

@@ -190,32 +190,34 @@ def o_is_minimal(w: str) -> bool:
     return all(len(o_cyclic_core(w.translate(t))) >= n for t in _ONE_LETTER_TABLES)
 
 
-def reduced_words(n: int) -> list:
-    """Every freely reduced word of length n."""
-    level = [""]
-    for _ in range(n):
+def reduced_words(n: int, prefix: str = "") -> list:
+    """Every freely reduced word of length n that starts with prefix, a
+    reduced word of at most n letters."""
+    level = [prefix]
+    for _ in range(n - len(prefix)):
         level = [w + c for w in level for c in ALPHABET if not w or c != INV[w[-1]]]
     return level
 
 
-def cyclic_words(n: int) -> list:
-    """Every cyclically reduced word of length n."""
-    return [w for w in reduced_words(n) if len(w) < 2 or w[-1] != INV[w[0]]]
+def cyclic_words(n: int, prefix: str = "") -> list:
+    """Every cyclically reduced word of length n that starts with prefix."""
+    return [w for w in reduced_words(n, prefix) if len(w) < 2 or w[-1] != INV[w[0]]]
 
 
-def necklaces(n: int) -> list:
-    """Cyclically reduced words of length n, one least rotation per cyclic word.
+def necklaces(n: int, prefix: str = "") -> list:
+    """Cyclically reduced words of length n that start with prefix and are
+    their own least rotation; with no prefix, one per cyclic word.
 
-    Words whose first letter is not least in the word cannot themselves be
-    least rotations, and every least rotation shows up in cyclic_words(n)
-    directly, so those are skipped without changing the result set.
+    A word whose first letter is not least in the word is not its own least
+    rotation, so its rotations are not compared.
     """
-    out = set()
-    for w in cyclic_words(n):
+    out = []
+    for w in cyclic_words(n, prefix):
         t = w.translate(_DIGITS)
         if t and t[0] != min(t):
             continue
-        out.add(o_least_rotation(w))
+        if o_least_rotation(w) == w:
+            out.append(w)
     return sorted(out)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import multiprocessing
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, run_heavy_words
-from f2aut import enumeration
+from f2aut import canonical_word, enumeration
 from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
@@ -60,13 +61,56 @@ def test_enumerate_minimal_matches_oracle(n):
     assert enumerate_minimal(n) == oracle_minimal(n)
 
 
-@pytest.mark.parametrize("n", range(8, 11))
+def unpruned_rows(n: int, prefix: str) -> list:
+    """The words of the shard of prefix, found without any prune of the
+    scan: the oracle's necklaces that start with prefix, kept if minimal
+    and canonical (the full mod-J filter), in ascending order."""
+    words = (w for w in orc.necklaces(n, prefix) if orc.o_is_minimal(w) and canonical_word(w) == w)
+    return sorted(words, key=order_key)
+
+
+def check_shards_match_unpruned_scan(n: int, prefixes) -> None:
+    for p in prefixes:
+        rows = _shard_rows(n, p)
+        assert list(rows) == unpruned_rows(n, p), p
+        for row in rows.values():
+            assert row == orc.o_vertex_row(row[0])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
 def test_sharded_rows_match_oracle(n):
-    """From n = 8 the scan is split into forced-prefix shards; every shard and both prunes run."""
-    rows = [row for p in _shard_prefixes(n) for row in _shard_rows(n, p).values()]
-    assert [row[0] for row in rows] == oracle_minimal(n)
-    for row in rows:
-        assert row == orc.o_vertex_row(row[0])
+    """Every prune of the scan, each of its rules and the tied-image one,
+    drops only words the full filters drop: the one-job shard and, from
+    n = 8, every forced-prefix shard give the unpruned rows in order."""
+    check_shards_match_unpruned_scan(n, dict.fromkeys(["a", *_shard_prefixes(n)]))
+
+
+@pytest.mark.skipif(
+    os.environ.get("F2AUT_STRETCH") != "1",
+    reason="stretch check: set F2AUT_STRETCH=1 to compare the shards of lengths 13..14 with the unpruned scan",
+)
+@pytest.mark.parametrize("n", (13, 14))
+def test_stretch_sharded_rows_match_oracle(n):
+    check_shards_match_unpruned_scan(n, _shard_prefixes(n))
+
+
+def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
+    """principal_deltas runs once per leaf the scan builds.  At n = 12 the
+    scan builds 4,071 leaves for 3,588 rows; without the tied-image prune
+    it built 5,903 (1.645 per row).  The exact count also notices a lost
+    tied start, such as the run at position 2 after a single leading a
+    (4,072 leaves), which changes no row up to n = 16."""
+    leaves = []
+
+    def counted(*args):
+        leaves.append(args)
+        return principal_deltas(*args)
+
+    principal_deltas = enumeration.principal_deltas
+    monkeypatch.setattr(enumeration, "principal_deltas", counted)
+    kept = sum(len(_shard_rows(12, p)) for p in _shard_prefixes(12))
+    assert kept == 3588
+    assert len(leaves) == 4071 <= 1.2 * kept
 
 
 def test_enumerate_minimal_is_sorted_and_canonical():
