@@ -10,13 +10,13 @@ Conjugation is factored out by working with cyclic words: rotations stand
 in for inner automorphisms.  The canonical form modulo rotations and
 signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B.
-canonical_word, canonical_witness and the enumeration's mod-J filter all
-read the candidates from one generator, _rotation_keys, which yields only
-the rotations that start with a given run of a's.  _j_equal decides whether
-two words share a canonical form without computing it.  Both translate only
-the permutation images that can match.  _align finds the permutation and
-rotation carrying a word onto a canonical form already known, such as a
-vertex of a class graph, without searching for that form again.
+canonical_word and canonical_witness read the candidates from one
+generator, _rotation_keys, which yields only the rotations that start with
+a given run of a's.  _j_equal decides whether two words share a canonical
+form without computing it.  Both translate only the permutation images
+that can match.  _align finds the permutation and rotation carrying a word
+onto a canonical form already known, such as a vertex of a class graph,
+without searching for that form again.
 """
 
 from __future__ import annotations
@@ -241,12 +241,8 @@ _ORDER_TABLES = tuple(
     str.maketrans({c: order_key(pi(c)) for c in LETTERS}) for pi in ALL_PERMUTATIONS
 )
 _FROM_ORDER = str.maketrans("0123", LETTERS)
-# letter c -> the tables of the two images sending c to a; the identity's comes last of all
-_TABLES_TO_A = {c: [t for t in _ORDER_TABLES[::-1] if c.translate(t) == "0"] for c in "bBAa"}
-# the same without the identity, whose rotations never undercut a necklace
-_NON_IDENTITY_TABLES_TO_A = {
-    c: [t for t in tables if t is not _ORDER_TABLES[0]] for c, tables in _TABLES_TO_A.items()
-}
+# letter c -> the tables of the two images sending c to a
+_TABLES_TO_A = {c: [t for t in _ORDER_TABLES if c.translate(t) == "0"] for c in LETTERS}
 
 
 def _longest_run(w: str) -> int:
@@ -270,24 +266,21 @@ def _longest_run(w: str) -> int:
     return best
 
 
-def _rotation_keys(w: str, run: int, tables=_TABLES_TO_A):
+def _rotation_keys(w: str, run: int):
     """Order keys of the rotations of the permutation images of w that start
-    with run a's; tables=_NON_IDENTITY_TABLES_TO_A leaves out w's own.
+    with run a's.
 
     The least rotation of all the images starts with a^r, where r is the
     longest run of one letter in w, since some permutation sends that letter
-    to a.  So for any run <= r the least key is among these keys, and a key
-    below a necklace's own starts with at least as many a's as the necklace.
-    Only the images sending a letter with a cyclic run of at least run to a
-    are translated, the identity's last, so a filter testing a necklace,
-    which no rotation of its own undercuts, meets a smaller key sooner.
-    Callers validate w.
+    to a.  So for any run <= r the least key is among these keys.  Only the
+    images sending a letter with a cyclic run of at least run to a are
+    translated.  Callers validate w.
     """
     n = len(w)
     z = "0" * run
     end = n + run - 1  # matches of z in the doubled image start below n
     ww = w + w
-    for c, to_a in tables.items():
+    for c, to_a in _TABLES_TO_A.items():
         if c * run in ww:
             for table in to_a:
                 tt = ww.translate(table)

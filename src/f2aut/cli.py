@@ -145,20 +145,12 @@ def _parse_lengths(text: str) -> range:
 
 
 def _resolve_workers(args) -> int:
+    """--workers (census rejects a count below 1), else the usable cores."""
     if args.workers is not None:
-        workers = args.workers
-    elif os.environ.get("F2AUT_WORKERS"):
-        try:
-            workers = int(os.environ["F2AUT_WORKERS"])
-        except ValueError:
-            raise ValueError("F2AUT_WORKERS must be an integer") from None
-    elif hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))  # the CPUs this process may run on
-    else:
-        workers = max(1, os.cpu_count() or 1)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
+        return args.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))  # the CPUs this process may run on
+    return max(1, os.cpu_count() or 1)
 
 
 def _write_csv(path: Path, rows) -> None:
@@ -187,15 +179,11 @@ def _size_table_rows(per_n: dict) -> list:
 def cmd_enumerate(args) -> int:
     lengths = _parse_lengths(args.lengths)
     workers = _resolve_workers(args)
-    if args.weight is not None and args.weight < 0:
-        raise ValueError(f"weight must be a nonnegative integer, got {args.weight}")
     out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     scan = {} if args.scan_coincidences else None
 
     def write(n, lines):
+        out_dir.mkdir(parents=True, exist_ok=True)  # once census has checked its arguments
         with (out_dir / f"classes_{n}.jsonl").open("w") as fh:
             fh.writelines(f"{line}\n" for line in lines)
 
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census of all classes over a length range")
     p.add_argument("--lengths", required=True, help="length range as N or A..B (0 <= A <= B <= 20)")
-    p.add_argument("--workers", type=int, default=None, help="worker processes (default: $F2AUT_WORKERS or the usable cores)")
+    p.add_argument("--workers", type=int, default=None, help="worker processes (default: the usable cores)")
     p.add_argument("--out", default=None, help="directory for classes_<n>.jsonl and census CSV files")
     p.add_argument("--weight", type=int, default=None, help="restrict classes_<n>.jsonl to one weight")
     p.add_argument("--check-conjectures", action="store_true", help="emit the observed-versus-predicted report")

@@ -14,11 +14,10 @@ Pipeline, per length n:
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
-   letter by letter, and drops the subtree of any that falls below.  Only
-   when one is still tied at the leaf does the full filter run: no
-   _rotation_keys key starting with the leading a-run, of the seven
-   non-identity images, is below the word's own.  Each surviving word is
-   one vertex of one class graph;
+   letter by letter, from the run's start (the b<->B image from rotation
+   0), drops the subtree of any that falls below, and finishes the images
+   still tied at the leaf on the wrapped-around letters.  Each surviving
+   word is one vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
 5. _shard_job closes the class of each row with no level image below it
@@ -50,9 +49,7 @@ from fractions import Fraction
 from .automorphism import (
     ALL_PERMUTATIONS,
     PRINCIPALS,
-    _NON_IDENTITY_TABLES_TO_A,
     _j_equal,
-    _rotation_keys,
     apply_cyclic,
     canonical_word,
 )
@@ -89,27 +86,26 @@ def _shard_rows(n: int, prefix: str) -> dict:
     pair removes only non-reduced completions, so the period bookkeeping is
     unaffected.  The recursion carries the a-type tally and the digraph
     counts ab, aB of the letters placed; the leaf derives aa and bb from
-    them as pair_counts does.  Four necessary conditions drop a subtree
-    early:
+    them as pair_counts does.  Two rules drop a subtree early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion;
-    - a run of one letter longer than the leading a-run (cap): the image
-      sending that letter to a has a smaller rotation;
-    - B as the first letter after the leading a-run: the image swapping b
-      and B is smaller at rotation 0;
-    - a tied image falls below the prefix.  Once a run starting at s is as
-      long as the leading a-run, each non-identity signed permutation m
-      sending its letter to a is tied: m(a) rotated to s starts like a.
-      Each further letter a[t] compares m(a[t]) with a[t - s + 1]: smaller
-      drops the subtree, larger drops m, equal keeps it tied.
+    - a tied image falls below the prefix.  The b<->B image is tied at
+      rotation 0, and once a run starting at s is as long as the leading
+      a-run, each non-identity signed permutation m sending its letter to
+      a is tied at s: m(a) rotated to s starts like a.  Each further
+      letter a[t] compares m(a[t]) with a[t - s + 1]: smaller drops the
+      subtree, larger drops m, equal keeps it tied.
 
-    A rotation of an image below a necklace starts with its leading a-run,
-    so it starts at another run exactly that long (the b<->B image at
-    rotation 0 is never below, by the third rule).  It was tied there and,
-    not having fallen below on the placed letters, is still tied at the
-    leaf.  Only then does the leaf run the full filter, _rotation_keys,
-    which also compares the wrapped-around letters.
+    A rotation of a non-identity image below a necklace starts with as
+    many a's as the necklace's leading a-run: at rotation 0 or at a run
+    at least that long, which Duval's rule keeps from crossing the wrap.
+    No run is longer: one letter past that length a run falls below its
+    own tied images, and a B right after the leading a-run falls below
+    the b<->B image.  So an image below the necklace was tied from the
+    start of its run and, not having fallen below on the placed letters,
+    is still tied at the leaf, which finishes it on the wrapped-around
+    letters: m(a[1..s-1]) against a[n-s+2..n].
     """
     if n == 0:
         return {"": level_closure("")[0]}
@@ -119,18 +115,16 @@ def _shard_rows(n: int, prefix: str) -> dict:
     a[1] = first = pre[0]
     rows = {}
 
-    def leaf(tally, ab, aB, cap, tied):
+    def leaf(tally, ab, aB, tied):
         _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
         ab, aB = ab + dab, aB + daB
         pc = SubwordCounts(tally - ab - aB, n - tally - ab - aB, ab, aB)  # as in pair_counts
         deltas = principal_deltas(tally, n - tally, pc)
         if min(deltas) < 0:
             return  # not minimal
+        if any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied):
+            return  # a rotation of a permutation image is smaller
         w = "".join([LETTERS[c] for c in a[1:]])
-        if tied:  # only the wrap-around letters of a tied image are left to compare
-            tw = order_key(w)
-            if not all(key >= tw for key in _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)):
-                return  # a rotation of a permutation image is smaller
         rows[w] = vertex_row(w, pc, deltas)
 
     def rec(t, p, tally, ab, aB, run, cap, tied):
@@ -139,16 +133,13 @@ def _shard_rows(n: int, prefix: str) -> dict:
         # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
         if t > n:
             if n % p == 0 and a[n] != first ^ 2:
-                leaf(tally, ab, aB, cap, tied)
+                leaf(tally, ab, aB, tied)
             return
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
-        for v in (pre[t - 1],) if t <= forced else range(lo, 2 if cap == n else 4):
+        for v in (pre[t - 1],) if t <= forced else range(lo, 4):
             if v < lo or v == prev ^ 2:
-                continue
-            run_v = run + 1 if v == prev else 1
-            if run_v > cap:
                 continue
             dt, dab, daB = _STEP[4 * prev + v]
             tally_v = tally + dt
@@ -157,6 +148,7 @@ def _shard_rows(n: int, prefix: str) -> dict:
             need = 2 * (ab_v if ab_v > aB_v else aB_v)
             if tally_v + rem < need or t - tally_v + rem < need:
                 continue
+            a[t] = v
             tied_v = []
             for s, m in tied:
                 d = a[t - s + 1]
@@ -165,13 +157,13 @@ def _shard_rows(n: int, prefix: str) -> dict:
                 if m[v] == d:
                     tied_v.append((s, m))
             else:
-                a[t] = v
+                run_v = run + 1 if v == prev else 1
                 cap_v = t - 1 if cap == n and v else cap
                 if run_v == cap_v:  # a run as long as the leading one: its images to a start tied
                     tied_v += [(t - run_v + 1, m) for m in _MAPS_TO_A[v]]
                 rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
 
-    rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [])
+    rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
     return rows
 
 
@@ -216,7 +208,8 @@ def _shard_prefixes(n: int) -> list:
     prefixes = ["a"]
     for _ in range(plen - 1):
         prefixes = [p + ch for p in prefixes for ch in LETTERS if ch != inverse_letter(p[-1])]
-    # _shard_rows scans no word whose first letter after the leading a-run is B
+    # a B right after the leading a-run falls below the b<->B image tied at
+    # rotation 0, so these shards are empty
     return [p for p in prefixes if not p.lstrip("a").startswith("B")]
 
 
@@ -278,7 +271,7 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
     """All classes at length n as ClassRecord values, numbered n.1, n.2, ...
     ascending by (size, least vertex)."""
     records = []
-    census([n], workers, lambda _, recs: records.extend(recs))
+    census([n], workers, lines=lambda _, lines: records.extend(map(_record, lines)))
     return records
 
 
@@ -338,22 +331,20 @@ def _vertex_total(stats: Counter) -> int:
     return sum(s * c for (_, _, s, _), c in stats.items())
 
 
-def census(lengths, workers: int = 1, sink=None, *, lines=None, weight=None, coincidences=None) -> CensusTables:
+def census(lengths, workers: int = 1, *, lines=None, weight=None, coincidences=None) -> CensusTables:
     """Enumerate every length in lengths once, counting its classes in class_stats.
 
-    After each length n is counted, and only if given: sink(n, records)
-    gets its ClassRecords and lines(n, lines) an iterator over its
-    classes_<n>.jsonl lines, both of one weight if given (ids count all), and
-    coincidences(n, failures) the coincidence failures of its vertices, in
-    ascending order (see _coincidences).  Each distinct length is enumerated
-    once, in ascending order.  Raises TheoremViolation unless the class
-    sizes add up to the vertices.
+    After each length n is counted, and only if given: lines(n, lines)
+    gets an iterator over its classes_<n>.jsonl lines, of one weight if
+    given (ids count all), and coincidences(n, failures) the coincidence
+    failures of its vertices, in ascending order (see _coincidences).  Each
+    distinct length is enumerated once, in ascending order.  Raises
+    TheoremViolation unless the class sizes add up to the vertices.
     """
     if weight is not None:
         _check_count("weight", weight, 0)
     tables = CensusTables({})
-    out = sink is not None or lines is not None
-    stream = _shard_results(_shard_job, lengths, workers, out, weight, coincidences is not None)
+    stream = _shard_results(_shard_job, lengths, workers, lines is not None, weight, coincidences is not None)
     with contextlib.closing(stream):
         for n, results in stream:
             stats = sum((r[0] for r in results), Counter())
@@ -363,8 +354,6 @@ def census(lengths, workers: int = 1, sink=None, *, lines=None, weight=None, coi
             tables.class_stats[n] = stats
             if lines is not None:
                 lines(n, _numbered(n, [r[2] for r in results]))
-            if sink is not None:
-                sink(n, [_record(line) for line in _numbered(n, [r[2] for r in results])])
             if coincidences is not None:
                 coincidences(n, [f for r in results for f in r[3]])
     return tables

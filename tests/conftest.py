@@ -97,15 +97,15 @@ def worker_count():
 @pytest.fixture(scope="session")
 def census14(worker_count):
     """(tables, records_by_length) over lengths 0..14; records kept for n <= 12."""
-    from f2aut.enumeration import census
+    from f2aut.enumeration import _record, census
 
     store = {}
 
-    def sink(n, records):
+    def keep(n, lines):
         if n <= 12:
-            store[n] = records
+            store[n] = [_record(line) for line in lines]
 
-    tables = census(range(15), workers=worker_count, sink=sink)
+    tables = census(range(15), workers=worker_count, lines=keep)
     return tables, store
 
 

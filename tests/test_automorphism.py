@@ -15,7 +15,6 @@ from f2aut.automorphism import (
     OneLetterAut,
     Permutation,
     WhiteheadII,
-    _NON_IDENTITY_TABLES_TO_A,
     _align,
     _j_equal,
     _longest_run,
@@ -34,7 +33,6 @@ from f2aut.word_core import (
     invert,
     is_cyclic_word,
     least_rotation,
-    order_key,
     rotate,
 )
 
@@ -353,17 +351,6 @@ def test_longest_run_on_every_short_word():
 )
 def test_longest_run_matches_oracle(w):
     assert _longest_run(w) == orc.o_longest_run(w)
-
-
-def test_necklace_filter_without_identity_matches_canonical_form():
-    # the leaf filter of the enumeration: cap is the word's leading a-run
-    for n in range(9):
-        for w in orc.cyclic_words(n):
-            if w != orc.o_least_rotation(w):
-                continue
-            cap = len(w) - len(w.lstrip("a"))
-            keys = _rotation_keys(w, cap, _NON_IDENTITY_TABLES_TO_A)
-            assert all(key >= order_key(w) for key in keys) == (canonical_word(w) == w), w
 
 
 def test_triangle_decompose_rejects_bad_letters():

@@ -264,20 +264,7 @@ def test_enumerate_negative_weight_writes_nothing(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_workers_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("F2AUT_WORKERS", "2")
-    rc, out, _ = run(capsys, "enumerate", "--lengths", "3", "--format", "csv")
-    assert rc == 0
-    assert list(csv.reader(io.StringIO(out)))[1][0] == "3"
-
-    monkeypatch.setenv("F2AUT_WORKERS", "soon")
-    rc, _, err = run(capsys, "enumerate", "--lengths", "3", "--format", "csv")
-    assert rc == 2
-    assert "F2AUT_WORKERS" in err
-
-
 def test_default_workers_follow_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("F2AUT_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     assert _resolve_workers(argparse.Namespace(workers=None)) == 3

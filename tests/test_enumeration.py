@@ -21,6 +21,7 @@ from f2aut.enumeration import (
     ClassRecord,
     _coincidences,
     _numbered,
+    _record,
     _shard_job,
     _shard_prefixes,
     _shard_rows,
@@ -77,12 +78,19 @@ def check_shards_match_unpruned_scan(n: int, prefixes) -> None:
             assert row == orc.o_vertex_row(row[0])
 
 
+# the reduced prefixes of two to four letters whose first letter after the
+# leading a-run is B: _shard_prefixes asks for none of them
+B_FIRST_PREFIXES = [p for k in (2, 3, 4) for p in orc.reduced_words(k, "a") if p.lstrip("a").startswith("B")]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sharded_rows_match_oracle(n):
-    """Every prune of the scan, each of its rules and the tied-image one,
-    drops only words the full filters drop: the one-job shard and, from
-    n = 8, every forced-prefix shard give the unpruned rows in order."""
-    check_shards_match_unpruned_scan(n, dict.fromkeys(["a", *_shard_prefixes(n)]))
+    """Both prunes of the scan, the minimality bound and the tied images,
+    drop only words the full filters drop: the one-job shard, from n = 8
+    every forced-prefix shard and, up to n = 10, every B-first prefix give
+    the unpruned rows in order."""
+    b_first = [p for p in B_FIRST_PREFIXES if len(p) <= n <= 10]
+    check_shards_match_unpruned_scan(n, dict.fromkeys(["a", *_shard_prefixes(n), *b_first]))
 
 
 @pytest.mark.skipif(
@@ -165,7 +173,7 @@ def test_type_tallies_at_small_lengths(n):
 
 def test_census_aggregation_and_sink():
     calls = []
-    tables = census(range(10), sink=lambda n, recs: calls.append((n, len(recs))))
+    tables = census(range(10), lines=lambda n, lines: calls.append((n, len(list(lines)))))
     assert [n for n, _ in calls] == list(range(10))
     for n, expected in SMALL_TYPE_COUNTS.items():
         assert dict(tables.type_counts[n]) == expected
@@ -186,7 +194,7 @@ def test_census_stores_one_table_and_reads_four_views_from_it(workers):
     assert [f.name for f in dataclasses.fields(CensusTables)] == ["class_stats"]
     assert [f.name for f in dataclasses.fields(ClassRecord)] == ["class_id", "graph"]
     seen = {}
-    tables = census(range(13), workers=workers, sink=seen.__setitem__)
+    tables = census(range(13), workers=workers, lines=lambda n, lines: seen.update({n: list(map(_record, lines))}))
     graphs = {n: [rec.graph for rec in records] for n, records in seen.items()}
     assert tables.class_stats == {
         n: Counter((g.gtype, weight(g.vertices[0]), len(g.vertices), g.is_root_class) for g in gs)
@@ -219,7 +227,7 @@ def test_census_streams_every_length_through_one_pool(monkeypatch):
     make_pool = multiprocessing.Pool
     monkeypatch.setattr(multiprocessing, "Pool", lambda *a: pools.append(a) or make_pool(*a))
     calls = []
-    census(range(11), workers=2, sink=lambda n, recs: calls.append((n, recs)))
+    census(range(11), workers=2, lines=lambda n, lines: calls.append((n, list(map(_record, lines)))))
     assert pools == [(2,)]
     assert [n for n, _ in calls] == list(range(11))
     for n, records in calls:
@@ -240,18 +248,18 @@ def test_census_pool_is_torn_down_when_a_shard_fails(monkeypatch):
     monkeypatch.setattr(enumeration, "_shard_job", _shard_job_failing_at_9)
     seen = []
     with pytest.raises(TheoremViolation, match="injected in a worker"):
-        census(range(11), workers=2, sink=lambda n, recs: seen.append(n))
+        census(range(11), workers=2, lines=lambda n, lines: seen.append(n))
     assert seen == list(range(9))
     assert multiprocessing.active_children() == []
 
 
 def test_census_pool_is_torn_down_when_the_caller_stops():
-    def sink(n, records):
+    def stop(n, lines):
         if n == 8:
             raise TheoremViolation("injected in the parent")
 
     with pytest.raises(TheoremViolation) as caught:
-        census(range(11), workers=2, sink=sink)
+        census(range(11), workers=2, lines=stop)
     # census's frame lives on in the traceback, so only an explicit close ends the pool
     assert multiprocessing.active_children() == []
     assert str(caught.value) == "injected in the parent"
@@ -358,7 +366,7 @@ def test_class_output_does_not_change_the_tables(workers):
 
 def test_repeated_lengths_are_enumerated_once():
     calls = []
-    tables = census([3, 3], sink=lambda n, recs: calls.append((n, len(recs))))
+    tables = census([3, 3], lines=lambda n, lines: calls.append((n, len(list(lines)))))
     assert calls == [(3, 1)]
     assert list(tables.class_stats) == [3]
 
