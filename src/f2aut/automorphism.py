@@ -9,14 +9,14 @@ one-letter cases ({y}, x): y -> yx, y^-1 -> x^-1 y^-1.
 Conjugation is factored out by working with cyclic words: rotations stand
 in for inner automorphisms.  The canonical form modulo rotations and
 signed permutations (canonical_word) picks the lexicographically least
-rotation among all 8 permutation images, in the order a < b < A < B.
-canonical_word and canonical_witness read the candidates from one
-generator, _rotation_keys, which yields only the rotations that start with
-a given run of a's.  _j_equal decides whether two words share a canonical
-form without computing it.  Both translate only the permutation images
-that can match.  _align finds the permutation and rotation carrying a word
-onto a canonical form already known, such as a vertex of a class graph,
-without searching for that form again.
+rotation among all 8 permutation images, in the order a < b < A < B; it
+compares only the rotations that start with the word's longest run of one
+letter, sent to a.  _align is the one test of whether a word is a rotation
+of a permutation image of another: it returns the first permutation and
+the least rotation that carry one onto the other, or None, and translates
+only the images the letter tallies allow.  It carries a word onto a
+canonical form already known, such as a vertex of a class graph, without
+searching for that form again.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .word_core import (
     free_reduce,
     inverse_letter,
     is_cyclic_word,
+    letter_tally,
     order_key,
 )
 
@@ -266,30 +267,6 @@ def _longest_run(w: str) -> int:
     return best
 
 
-def _rotation_keys(w: str, run: int):
-    """Order keys of the rotations of the permutation images of w that start
-    with run a's.
-
-    The least rotation of all the images starts with a^r, where r is the
-    longest run of one letter in w, since some permutation sends that letter
-    to a.  So for any run <= r the least key is among these keys.  Only the
-    images sending a letter with a cyclic run of at least run to a are
-    translated.  Callers validate w.
-    """
-    n = len(w)
-    z = "0" * run
-    end = n + run - 1  # matches of z in the doubled image start below n
-    ww = w + w
-    for c, to_a in _TABLES_TO_A.items():
-        if c * run in ww:
-            for table in to_a:
-                tt = ww.translate(table)
-                i = tt.find(z, 0, end)
-                while i != -1:
-                    yield tt[i : i + n]
-                    i = tt.find(z, i + 1, end)
-
-
 def canonical_word(w: str) -> str:
     """Minimum over all rotations of all 8 permutation images, in a < b < A < B order.
 
@@ -301,24 +278,28 @@ def canonical_word(w: str) -> str:
 
 
 def _canonical(w: str) -> str:
-    """canonical_word of a cyclic word the caller has built, without the check."""
-    return min(_rotation_keys(w, _longest_run(w)), default="").translate(_FROM_ORDER)
+    """canonical_word of a cyclic word the caller has built, without the check.
 
-
-def _j_equal(u: str, v: str) -> bool:
-    """canonical_word(u) == canonical_word(v), without computing either.
-
-    v is a rotation of a permutation image of u exactly when some image's
-    doubled order key holds v's as a substring and the lengths agree.  Only
-    the images sending a-type (b-type) letters to a are translated, when u's
-    a-type tally is v's a-type (b-type) tally.  Callers validate u and v.
+    The least rotation of all the images starts with a^r, where r is the
+    longest run of one letter in w, since some permutation sends that letter
+    to a.  So only the images sending a letter with a run of r to a are
+    translated, and only their rotations starting with a^r are compared.
     """
-    if len(u) != len(v):
-        return False
-    a_u, a_v = u.count("a") + u.count("A"), v.count("a") + v.count("A")
-    to_a = ("aA" if a_u == a_v else "") + ("bB" if a_u + a_v == len(u) else "")
-    key = order_key(v)
-    return any(key in u.translate(t) * 2 for c in to_a for t in _TABLES_TO_A[c])
+    n, run = len(w), _longest_run(w)
+    z = "0" * run
+    end = n + run - 1  # matches of z in the doubled image start below n
+    ww = w + w
+    best = None
+    for c, to_a in _TABLES_TO_A.items():
+        if c * run in ww:
+            for table in to_a:
+                tt = ww.translate(table)
+                i = tt.find(z, 0, end)
+                while i != -1:
+                    if best is None or tt[i : i + n] < best:
+                        best = tt[i : i + n]
+                    i = tt.find(z, i + 1, end)
+    return (best or "").translate(_FROM_ORDER)
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:
@@ -328,23 +309,31 @@ def canonical_witness(w: str) -> tuple[str, Permutation, int]:
     reaches the canonical form, and k the least rotation that does.
     """
     canonical = canonical_word(w)
-    return (canonical, *_align(w, canonical))
+    if (found := _align(w, canonical)) is None:
+        raise TheoremViolation(f"no rotation of a permutation image of {w!r} is its canonical form")
+    return (canonical, *found)
 
 
-def _align(w: str, canonical: str) -> tuple[Permutation, int]:
-    """(pi, k) with rotate(pi(w), k) == canonical, a canonical form known to
-    be w's: the first such pi in ALL_PERMUTATIONS order, at its least k.
+def _align(u: str, v: str):
+    """(pi, k) with rotate(pi(u), k) == v: the first such pi in
+    ALL_PERMUTATIONS order, at its least k; None when v is not a rotation of
+    a permutation image of u, that is, when their canonical forms differ.
 
-    Raises TheoremViolation when no rotation of a permutation image of w is
-    canonical.  Callers validate w.
+    Only the images that keep the letter types (when u's a-type tally is
+    v's) or swap them (when the two tallies add up to the length) are
+    translated.  Callers validate u and v.
     """
-    if len(w) == len(canonical):
-        key, ww = order_key(canonical), w + w
-        for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
-            k = ww.translate(table).find(key)
+    if len(u) != len(v):
+        return None
+    a_u, a_v = letter_tally(u)[0], letter_tally(v)[0]
+    keep, swap = a_u == a_v, a_u + a_v == len(u)
+    key = order_key(v)
+    for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
+        if keep if pi.image_of_a in "aA" else swap:
+            k = (u.translate(table) * 2).find(key)
             if k != -1:
                 return pi, k
-    raise TheoremViolation(f"no rotation of a permutation image of {w!r} is {canonical!r}")
+    return None
 
 
 def triangle_decompose(x: str, y: str):

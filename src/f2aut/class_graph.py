@@ -26,7 +26,6 @@ from .automorphism import canonical_word
 from .minimality import is_minimal, level_closure
 from .word_core import (
     TheoremViolation,
-    check_word,
     cyclic_reduce,
     order_key,
     weight,
@@ -59,7 +58,7 @@ def _assemble(rows) -> ClassGraph:
 
 def build_graph(w: str) -> ClassGraph:
     """The class graph of a minimal word: the level closure of its canonical form."""
-    w = cyclic_reduce(check_word(w))[0]
+    w = cyclic_reduce(w)[0]
     if not is_minimal(w):
         raise ValueError(f"build_graph requires a minimal word, got {w!r}")
     return _assemble(level_closure(canonical_word(w)))

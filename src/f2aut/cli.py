@@ -30,7 +30,6 @@ from .minimality import (
     principal_deltas,
 )
 from .word_core import (
-    check_word,
     cyclic_reduce,
     letter_tally,
     pair_counts,
@@ -39,11 +38,6 @@ from .word_core import (
 )
 
 PRINCIPAL_NAMES = tuple(format_token(phi) for phi in PRINCIPALS)
-
-
-def _core(word: str) -> str:
-    check_word(word)
-    return cyclic_reduce(word)[0]
 
 
 def _emit(args, payload: dict, text_lines=None) -> None:
@@ -66,7 +60,7 @@ def _emit(args, payload: dict, text_lines=None) -> None:
 
 
 def cmd_minimize(args) -> int:
-    core = _core(args.word)
+    core = cyclic_reduce(args.word)[0]
     minimal, trace = minimize(core)
     payload = {
         "input": args.word,
@@ -91,7 +85,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    core = _core(args.word)
+    core = cyclic_reduce(args.word)[0]
     pc = pair_counts(core)
     a_count, b_count = letter_tally(core)
     deltas = principal_deltas(a_count, b_count, pc)
@@ -113,7 +107,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    core = _core(args.word)
+    core = cyclic_reduce(args.word)[0]
     minimal, _ = minimize(core)
     g = build_graph(minimal)
     if args.format == "json":
@@ -276,7 +270,7 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

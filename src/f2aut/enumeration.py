@@ -49,7 +49,7 @@ from fractions import Fraction
 from .automorphism import (
     ALL_PERMUTATIONS,
     PRINCIPALS,
-    _j_equal,
+    _align,
     apply_cyclic,
     canonical_word,
 )
@@ -552,6 +552,6 @@ def _coincidences(w: str) -> list:
     return [
         {"word": w, "rule": rule, "images": [canonical_word(u) for u in images]}
         for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES
-        if _j_equal(images[h1], images[h2]) and not _j_equal(images[c1], images[c2])
+        if _align(images[h1], images[h2]) and not _align(images[c1], images[c2])
     ]
 

@@ -54,7 +54,6 @@ from .automorphism import (
 from .word_core import (
     TheoremViolation,
     check_cyclic_word,
-    check_word,
     cyclic_reduce,
     inverse_letter,
     letter_tally,
@@ -285,7 +284,7 @@ def apply_token(item, w: str) -> str:
 
 def replay_witness(w: str, tokens) -> str:
     """Apply a witness to cyclic_reduce(w); each step preserves the class."""
-    cur = cyclic_reduce(check_word(w))[0]
+    cur = cyclic_reduce(w)[0]
     for tok in tokens:
         cur = apply_token(parse_token(tok) if isinstance(tok, str) else tok, cur)
     return cur
@@ -298,8 +297,8 @@ def are_conjugate(w: str, v: str):
     replayable witness (see replay_witness) carrying cyclic_reduce(w) onto
     cyclic_reduce(v) exactly, or None when the words are not conjugate.
     """
-    cw = cyclic_reduce(check_word(w))[0]
-    cv = cyclic_reduce(check_word(v))[0]
+    cw = cyclic_reduce(w)[0]
+    cv = cyclic_reduce(v)[0]
     w_states, w_runs = _minimize_states(cw)
     v_states, v_runs = _minimize_states(cv)
     mw, mv = w_states[-1], v_states[-1]
@@ -330,13 +329,18 @@ def are_conjugate(w: str, v: str):
         tokens.append(item)
         cur = apply_token(item, cur)
 
+    def align(target):
+        if (found := _align(cur, target)) is None:
+            raise TheoremViolation(f"no rotation of a permutation image of {cur!r} is {target!r}")
+        return found
+
     for run in w_runs:
         emit(run)
     emit(pi_w)
     emit(k_w)
     for p, c in reversed(path):  # from a canonical vertex: principal, permutation, rotation
         emit(PRINCIPALS[p - 1])
-        pi, k = _align(cur, c)
+        pi, k = align(c)
         emit(pi)
         emit(k)
     # invert the canonicalization of mv, then walk its reduction backwards
@@ -346,7 +350,7 @@ def are_conjugate(w: str, v: str):
         raise TheoremViolation(f"witness reaches {cur!r}, not the minimal word {mv!r}")
     for (phi, k), start in zip(reversed(v_runs), reversed(v_states[:-1])):
         emit((phi.inverse(), k))
-        emit(_align(cur, start)[1])  # a rotation: the identity comes first in ALL_PERMUTATIONS
+        emit(align(start)[1])  # a rotation: the identity comes first in ALL_PERMUTATIONS
     if cur != cv:
         raise TheoremViolation(f"witness reaches {cur!r}, not {cv!r}")
     return True, tuple(format_token(t) for t in tokens)

@@ -3,11 +3,12 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, raw_words, reduced_words, run_heavy_words
+from f2aut import automorphism
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -16,9 +17,7 @@ from f2aut.automorphism import (
     Permutation,
     WhiteheadII,
     _align,
-    _j_equal,
     _longest_run,
-    _rotation_keys,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
@@ -238,14 +237,18 @@ def test_canonical_witness_equation(w):
     assert rotate(pi(w), k) == canonical
 
 
-def brute_force_witness(w):
-    """The first pi in ALL_PERMUTATIONS order reaching the canonical form, then the least k."""
-    target = orc.o_canonical(w)
+def brute_force_align(u, v):
+    """The first pi in ALL_PERMUTATIONS order with a rotation of pi(u) equal to v, at the least k."""
     for pi in ALL_PERMUTATIONS:
-        for k in range(max(len(w), 1)):
-            if rotate(pi(w), k) == target:
-                return target, pi, k
-    raise AssertionError(f"no rotation of a permutation image of {w!r} is canonical")
+        for k in range(max(len(u), 1)):
+            if rotate(pi(u), k) == v:
+                return pi, k
+    return None
+
+
+def brute_force_witness(w):
+    target = orc.o_canonical(w)
+    return target, *brute_force_align(w, target)
 
 
 @given(cyclic_reduced_words(min_size=13, max_size=300))
@@ -260,72 +263,54 @@ def test_canonical_forms_on_run_heavy_words(w):
     assert canonical_witness(w) == brute_force_witness(w)
 
 
-@given(st.one_of(cyclic_reduced_words(max_size=30), run_heavy_words()), st.data())
-def test_j_equal_matches_canonical_equality(u, data):
-    kind = data.draw(st.sampled_from(["image", "same length", "any length"]))
-    if kind == "image":  # a rotation of a permutation image: always equal
-        v = rotate(data.draw(permutations)(u), data.draw(st.integers(0, len(u))))
-    elif kind == "same length":  # mostly not equal
-        v = data.draw(cyclic_reduced_words(min_size=len(u), max_size=len(u)))
-    else:
-        v = data.draw(cyclic_reduced_words(max_size=30))
-    expected = orc.o_canonical(u) == orc.o_canonical(v)
-    assert _j_equal(u, v) == _j_equal(v, u) == expected
-
-
-DIGITS = str.maketrans("abAB", "0123")  # the a < b < A < B order
-
-
-def rotation_runs(w):
-    """(order key, count of the a's that start r + r) of each rotation r of the 8 images of w."""
-    rotations = [r for d in orc.PERM_DICTS for r in orc.o_rotations(orc.o_perm(d, w))]
-    return [(r.translate(DIGITS), 2 * len(r) - len((r + r).lstrip("a"))) for r in rotations]
-
-
-def keys_starting_with_run(rotations, run):
-    return sorted(key for key, lead in rotations if lead >= run)
-
-
-def test_rotation_keys_on_every_short_word():
+def test_canonical_word_on_every_short_word():
     for n in range(9):
         for w in orc.cyclic_words(n):
-            rotations = rotation_runs(w)
-            for run in range(n + 2):
-                expected = keys_starting_with_run(rotations, run)
-                assert sorted(_rotation_keys(w, run)) == expected, (w, run)
+            assert canonical_word(w) == orc.o_canonical(w), w
 
 
-@given(st.one_of(cyclic_reduced_words(min_size=30, max_size=30), run_heavy_words()), st.data())
-def test_rotation_keys_match_brute_force(w, data):
-    rotations = rotation_runs(w)
-    longest = max(lead for _, lead in rotations)
-    run = data.draw(st.integers(0, min(longest, len(w)) + 1))
-    assert sorted(_rotation_keys(w, run)) == keys_starting_with_run(rotations, run)
+@st.composite
+def word_pairs(draw):
+    """(u, v): v a rotation of a permutation image of u, a word of u's length, or any word."""
+    u = draw(st.one_of(cyclic_reduced_words(max_size=30), run_heavy_words()))
+    kind = draw(st.sampled_from(["image", "same length", "any length"]))
+    if kind == "image":  # always aligned
+        return u, rotate(draw(permutations)(u), draw(st.integers(0, len(u))))
+    if kind == "same length":  # mostly not aligned
+        return u, draw(cyclic_reduced_words(min_size=len(u), max_size=len(u)))
+    return u, draw(cyclic_reduced_words(max_size=30))
 
 
-def test_j_equal_examples():
-    assert _j_equal("", "")
-    assert not _j_equal("", "a") and not _j_equal("a", "")
-    assert _j_equal("a", "B")
-    assert _j_equal("aabAb", "BABaa")  # rotated b <-> B image
-    assert not _j_equal("aabb", "abaB")  # one class graph, two vertices
-    assert not _j_equal("aabb", "aabbaabb")
-    assert _j_equal("aab", "abb")  # swapped tallies: a type-swapping image
-    assert _j_equal("aabABB", "bbaBAA")  # tally n/2, reached only by a type-swapping image
-    assert _j_equal("aabABB", "aabABB")  # tally n/2, reached only by type-keeping images
-    assert not _j_equal("aabb", "aaab")  # equal lengths, no tally matches
+@given(word_pairs())
+@example(("", ""))
+@example(("", "a"))
+@example(("a", "B"))
+@example(("ab", ""))
+@example(("aabAb", "BABaa"))  # rotated b <-> B image
+@example(("baab", "aabb"))  # the identity at rotation 1
+@example(("aabb", "abaB"))  # one class graph, two vertices
+@example(("aabb", "aabbaabb"))
+@example(("aab", "aabb"))
+@example(("aab", "abb"))  # swapped tallies: a type-swapping image
+@example(("aabABB", "bbaBAA"))  # tally n/2, reached only by a type-swapping image
+@example(("aabABB", "aabABB"))  # tally n/2, reached only by type-keeping images
+@example(("aabb", "aaab"))  # equal lengths, no tally matches
+def test_align_matches_brute_force(pair):
+    for u, v in (pair, pair[::-1]):
+        found = _align(u, v)
+        assert (found is None) == (orc.o_canonical(u) != orc.o_canonical(v))
+        assert found == brute_force_align(u, v)
+
+
+def test_canonical_witness_raises_when_align_misses(monkeypatch):
+    monkeypatch.setattr(automorphism, "_align", lambda u, v: None)
+    with pytest.raises(TheoremViolation):
+        canonical_witness("baab")
 
 
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))
 def test_canonical_witness_tie_break_on_periodic_words(w):
     assert canonical_witness(w) == brute_force_witness(w)
-
-
-def test_align_rejects_a_canonical_form_of_another_class():
-    assert _align("baab", "aabb") == (Permutation("a", "b"), 1)
-    for w, other in (("aabb", "abaB"), ("aab", "aabb"), ("ab", ""), ("", "a")):
-        with pytest.raises(TheoremViolation):
-            _align(w, other)
 
 
 def test_longest_run_on_every_short_word():

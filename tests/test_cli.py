@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -262,6 +263,18 @@ def test_enumerate_negative_weight_writes_nothing(capsys, tmp_path):
     assert rc == 2 and stdout == ""
     assert err.startswith("error:") and "weight" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ("1", "2"))
+def test_enumerate_out_at_a_file_exits_2(capsys, tmp_path, workers):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for out in (taken, taken / "census"):  # the path is a file, or lies under one
+        rc, stdout, err = run(capsys, "enumerate", "--lengths", "0..3", "--workers", workers, "--out", str(out))
+        assert rc == 2 and stdout == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert taken.read_text() == "kept\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_default_workers_follow_cpu_affinity(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, raw_words, run_heavy_words
+from f2aut import minimality
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -313,9 +314,14 @@ def test_rotation_aligning_finds_the_least_shift():
 
 
 @pytest.mark.parametrize("cur, target", (("ab", "aa"), ("ab", "abab"), ("", "a"), ("a", "")))
-def test_rotation_aligning_raises_theorem_violation(cur, target):
-    with pytest.raises(TheoremViolation):
-        _align(cur, target)
+def test_rotation_aligning_raises_theorem_violation(monkeypatch, cur, target):
+    # no rotation of a permutation image of cur is target; a step of
+    # are_conjugate that meets such a miss raises instead of unpacking None
+    assert _align(cur, target) is None
+    monkeypatch.setattr(minimality, "_align", lambda u, v: _align(cur, target))
+    for w, v in (("aabb", "abaB"), ("a", "ab")):  # a path step; a step up the reduction of v
+        with pytest.raises(TheoremViolation):
+            are_conjugate(w, v)
 
 
 def test_theorem_violation_is_one_class():

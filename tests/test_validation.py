@@ -83,6 +83,16 @@ BAD_CALLS = (
     'subword_count("abab", "ax")',
     'subword_count("xyz", "a")',  # the word, not the pattern, is bad
     'subword_count("aAb", "ab")',
+    'cyclic_reduce("ax")',  # a non-letter at either end, or left inside an image
+    'cyclic_reduce("xa")',
+    'cyclic_reduce("ab\\u00e9")',  # a non-ASCII character
+    'free_reduce("aAx")',
+    'inverse_letter("x")',
+    'inverse_letter("ab")',
+    'apply_cyclic(PRINCIPALS[0], "ax")',
+    'apply_cyclic(PRINCIPALS[0], "xa")',
+    'apply_cyclic(PRINCIPALS[0], "xa", 3)',
+    'apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "xb")',
     'from_json("{}")',
     'from_json("[]")',
     'from_json("not json")',

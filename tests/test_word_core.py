@@ -96,6 +96,8 @@ def test_is_cyclic_word_examples():
     assert is_cyclic_word("aba")
     assert not is_cyclic_word("abA")
     assert not is_cyclic_word("aA")  # not even freely reduced
+    for w in ("ax", "xa", "x", "abxa", "a\u00e9", "a?"):  # a non-letter makes a string no word at all
+        assert not is_cyclic_word(w)
 
 
 def test_cyclic_reduce_examples():
