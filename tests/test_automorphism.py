@@ -269,6 +269,62 @@ def test_canonical_word_on_every_short_word():
             assert canonical_word(w) == orc.o_canonical(w), w
 
 
+DIGITS = str.maketrans("abAB", "0123")  # the a < b < A < B order
+
+
+def rotation_runs(w):
+    """(order key, count of the a's that start r + r) of each rotation r of the 8 images of w."""
+    rotations = [r for d in orc.PERM_DICTS for r in orc.o_rotations(orc.o_perm(d, w))]
+    return [(r.translate(DIGITS), 2 * len(r) - len((r + r).lstrip("a"))) for r in rotations]
+
+
+def keys_starting_with_run(rotations, run):
+    return sorted(key for key, lead in rotations if lead >= run)
+
+
+@given(st.one_of(cyclic_reduced_words(min_size=30, max_size=30), run_heavy_words()), st.data())
+def test_rotation_keys_match_brute_force(w, data):
+    """_canonical compares only the rotations starting with a^r, r the longest run: none is lost."""
+    rotations = rotation_runs(w)
+    longest = _longest_run(w)
+    assert max(lead for _, lead in rotations) >= longest
+    least = min(key for key, _ in rotations)
+    run = data.draw(st.integers(0, longest))
+    assert keys_starting_with_run(rotations, run)[0] == least
+    assert canonical_word(w).translate(DIGITS) == least
+
+
+def j_equal(u, v):
+    """Whether u and v share a canonical form, as _align decides it."""
+    return _align(u, v) is not None
+
+
+@given(st.one_of(cyclic_reduced_words(max_size=30), run_heavy_words()), st.data())
+def test_j_equal_matches_canonical_equality(u, data):
+    kind = data.draw(st.sampled_from(["image", "same length", "any length"]))
+    if kind == "image":  # a rotation of a permutation image: always equal
+        v = rotate(data.draw(permutations)(u), data.draw(st.integers(0, len(u))))
+    elif kind == "same length":  # mostly not equal
+        v = data.draw(cyclic_reduced_words(min_size=len(u), max_size=len(u)))
+    else:
+        v = data.draw(cyclic_reduced_words(max_size=30))
+    expected = orc.o_canonical(u) == orc.o_canonical(v)
+    assert j_equal(u, v) == j_equal(v, u) == expected
+
+
+def test_j_equal_examples():
+    assert j_equal("", "")
+    assert not j_equal("", "a") and not j_equal("a", "")
+    assert j_equal("a", "B")
+    assert j_equal("aabAb", "BABaa")  # rotated b <-> B image
+    assert not j_equal("aabb", "abaB")  # one class graph, two vertices
+    assert not j_equal("aabb", "aabbaabb")
+    assert j_equal("aab", "abb")  # swapped tallies: a type-swapping image
+    assert j_equal("aabABB", "bbaBAA")  # tally n/2, reached only by a type-swapping image
+    assert j_equal("aabABB", "aabABB")  # tally n/2, reached only by type-keeping images
+    assert not j_equal("aabb", "aaab")  # equal lengths, no tally matches
+
+
 @st.composite
 def word_pairs(draw):
     """(u, v): v a rotation of a permutation image of u, a word of u's length, or any word."""
@@ -306,6 +362,12 @@ def test_canonical_witness_raises_when_align_misses(monkeypatch):
     monkeypatch.setattr(automorphism, "_align", lambda u, v: None)
     with pytest.raises(TheoremViolation):
         canonical_witness("baab")
+
+
+def test_align_rejects_a_canonical_form_of_another_class():
+    assert _align("baab", "aabb") == (Permutation("a", "b"), 1)
+    for w, other in (("aabb", "abaB"), ("aab", "aabb"), ("ab", ""), ("", "a")):
+        assert _align(w, other) is None
 
 
 @pytest.mark.parametrize("w", ("abab", "aBaB", "abAB", "aaaa", "bbbb", "aabb" * 4, "aab" * 5))
