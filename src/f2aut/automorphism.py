@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .word_core import (
     LETTERS,
@@ -52,9 +52,10 @@ class Permutation:
         if a not in _LETTER_SET or b not in _LETTER_SET or {a.lower(), b.lower()} != {"a", "b"}:
             raise ValueError(f"P[{a},{b}]: the images must be letters covering both generators")
 
-    @property
+    @cached_property  # a frozen dataclass still has a __dict__ to cache it in
     def table(self):
-        return _perm_table(self.image_of_a, self.image_of_b)
+        a, b = self.image_of_a, self.image_of_b
+        return str.maketrans("abAB", a + b + inverse_letter(a) + inverse_letter(b))
 
     def __call__(self, w: str) -> str:
         return w.translate(self.table)
@@ -63,14 +64,6 @@ class Permutation:
         inv_a = next(c for c in LETTERS if self(c) == "a")
         inv_b = next(c for c in LETTERS if self(c) == "b")
         return Permutation(inv_a, inv_b)
-
-
-@lru_cache(maxsize=None)
-def _perm_table(image_of_a: str, image_of_b: str):
-    return str.maketrans(
-        "abAB",
-        image_of_a + image_of_b + inverse_letter(image_of_a) + inverse_letter(image_of_b),
-    )
 
 
 ALL_PERMUTATIONS = tuple(
@@ -127,18 +120,13 @@ class OneLetterAut:
     def inverse(self) -> "OneLetterAut":
         return OneLetterAut(self.y, inverse_letter(self.x))
 
-    @property
+    @cached_property
     def table(self):
-        return _one_letter_table(self.y, self.x)
+        y, x = self.y, self.x
+        return str.maketrans({y: y + x, inverse_letter(y): inverse_letter(x) + inverse_letter(y)})
 
     def __str__(self):
         return f"W[{self.y},{self.x}]"
-
-
-@lru_cache(maxsize=None)
-def _one_letter_table(y: str, x: str):
-    mapping = {y: y + x, inverse_letter(y): inverse_letter(x) + inverse_letter(y)}
-    return str.maketrans(mapping)
 
 
 ALL_ONE_LETTER = tuple(
@@ -174,6 +162,8 @@ def apply_cyclic(phi, w: str, k: int = 1) -> str:
     OneLetterAut may be applied k >= 1 times at once: the result is the
     string k successive calls return, computed in one pass over w.
     """
+    if type(k) is not int or k < 1:  # a bool or a float is not a power
+        raise ValueError(f"{phi}^{k!r}: the power must be a positive integer")
     if isinstance(phi, OneLetterAut):
         # On a reduced w the only pairs y -> yx, Y -> XY can cancel are the new
         # xX, and deleting them leaves none; cyclic_reduce finishes other input
@@ -198,8 +188,6 @@ def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
     is y, and cyclic_reduce then cancels x's against X's across the ends;
     k steps do the same with k letters at once.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"{phi}^{k}: the power must be a positive integer")
     if not is_cyclic_word(w):  # one step makes it one
         return apply_cyclic(phi, apply_cyclic(phi, w), k - 1)
     y, x = phi.y, phi.x

@@ -8,15 +8,15 @@ Pipeline, per length n:
    permutation images still tied with the prefix down the recursion, and
    drop each subtree in which no completion can be minimal or least mod
    signed permutation (see _shard_rows);
-2. at each leaf, add the wrap digraph and keep the word if it is minimal:
-   principal_deltas of the counts has no negative entry.  Only these words
-   are built as strings;
+2. at the last letter, add the wrap digraph and keep the word if it is
+   minimal: principal_deltas of the counts has no negative entry.  Only
+   these words are built as strings;
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
    letter by letter, from the run's start (the b<->B image from rotation
    0), drops the subtree of any that falls below, and finishes the images
-   still tied at the leaf on the wrapped-around letters.  Each surviving
+   still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
    change 0 and reduces the images to their canonical forms;
@@ -39,9 +39,9 @@ parent writes length n.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import json
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,11 +82,13 @@ def _shard_rows(n: int, prefix: str) -> dict:
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
-    the wrap pair is checked at the leaf.  Killing a prefix with an inverse
-    pair removes only non-reduced completions, so the period bookkeeping is
-    unaffected.  The recursion carries the a-type tally and the digraph
-    counts ab, aB of the letters placed; the leaf derives aa and bb from
-    them as pair_counts does.  Two rules drop a subtree early:
+    the wrap pair is checked with the last letter.  Killing a prefix with
+    an inverse pair removes only non-reduced completions, so the period
+    bookkeeping is unaffected.  The recursion carries the a-type tally and
+    the digraph counts ab, aB of the letters placed.  The branch that
+    places the last letter tests the necklace condition (n % p) and the
+    wrap pair, adds the wrap digraph and derives aa and bb as pair_counts
+    does.  Two rules drop a subtree early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion;
@@ -104,37 +106,23 @@ def _shard_rows(n: int, prefix: str) -> dict:
     own tied images, and a B right after the leading a-run falls below
     the b<->B image.  So an image below the necklace was tied from the
     start of its run and, not having fallen below on the placed letters,
-    is still tied at the leaf, which finishes it on the wrapped-around
-    letters: m(a[1..s-1]) against a[n-s+2..n].
+    is still tied after the last letter, whose branch finishes it on the
+    wrapped-around letters: m(a[1..s-1]) against a[n-s+2..n].  That branch
+    updates the run and the tied images first, since a run that ends at
+    the last letter starts images that only the wrap finishes.
     """
-    if n == 0:
-        return {"": level_closure("")[0]}
+    if n < 2:
+        return {"a" * n: level_closure("a" * n)[0]}
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)
     a[1] = first = pre[0]
     rows = {}
 
-    def leaf(tally, ab, aB, tied):
-        _, dab, daB = _STEP[4 * a[n] + first]  # the wrap digraph
-        ab, aB = ab + dab, aB + daB
-        pc = SubwordCounts(tally - ab - aB, n - tally - ab - aB, ab, aB)  # as in pair_counts
-        deltas = principal_deltas(tally, n - tally, pc)
-        if min(deltas) < 0:
-            return  # not minimal
-        if any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied):
-            return  # a rotation of a permutation image is smaller
-        w = "".join([LETTERS[c] for c in a[1:]])
-        rows[w] = vertex_row(w, pc, deltas)
-
     def rec(t, p, tally, ab, aB, run, cap, tied):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
         # leading a-run, or n while every letter placed is an a; tied lists the
         # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
-        if t > n:
-            if n % p == 0 and a[n] != first ^ 2:
-                leaf(tally, ab, aB, tied)
-            return
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
@@ -161,7 +149,17 @@ def _shard_rows(n: int, prefix: str) -> dict:
                 cap_v = t - 1 if cap == n and v else cap
                 if run_v == cap_v:  # a run as long as the leading one: its images to a start tied
                     tied_v += [(t - run_v + 1, m) for m in _MAPS_TO_A[v]]
-                rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
+                p_v = p if v == lo else t
+                if t < n:
+                    rec(t + 1, p_v, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
+                elif n % p_v == 0 and v != first ^ 2:  # a necklace, reduced across the wrap
+                    _, dab, daB = _STEP[4 * v + first]  # the wrap digraph
+                    ab_v, aB_v = ab_v + dab, aB_v + daB
+                    pc = SubwordCounts(tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)
+                    deltas = principal_deltas(tally_v, n - tally_v, pc)
+                    if min(deltas) >= 0 and not any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
+                        w = "".join([LETTERS[c] for c in a[1:]])
+                        rows[w] = vertex_row(w, pc, deltas)
 
     rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
     return rows
@@ -222,9 +220,10 @@ def _check_count(name: str, value, least: int) -> None:
 def _shard_results(job, lengths, workers: int, *options):
     """Yield (n, [job((n, prefix, *options)) for each shard prefix]) for each
     distinct n in lengths, ascending; job is a module-level function.  With
-    one worker each length is one job, run here.  Else one pool, of no more
-    workers than jobs, takes them one at a time in (n, prefix) order, and
-    is terminated when the generator ends or is closed.
+    one worker each length is one job, run here.  Else one process pool, of
+    no more workers than jobs, takes them in (n, prefix) order; on exit it
+    cancels the jobs not started and waits for the running ones, since a
+    worker killed while it sends a result leaves the result lock held.
     """
     lengths = list(lengths)
     _check_count("workers", workers, 1)
@@ -233,11 +232,14 @@ def _shard_results(job, lengths, workers: int, *options):
     lengths = sorted(set(lengths))  # each length once
     shards = {n: _shard_prefixes(n) if workers > 1 else ["a"] for n in lengths}
     jobs = [(n, prefix, *options) for n in lengths for prefix in shards[n]]
-    parallel = len(jobs) > len(lengths)
-    with multiprocessing.Pool(min(workers, len(jobs))) if parallel else contextlib.nullcontext() as pool:
-        results = pool.imap(job, jobs, chunksize=1) if parallel else map(job, jobs)
+    pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(jobs))) if len(jobs) > len(lengths) else None
+    try:
+        results = pool.map(job, jobs) if pool else map(job, jobs)
         for n in lengths:
             yield n, [next(results) for _ in shards[n]]
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def enumerate_minimal(n: int, workers: int = 1) -> list:
@@ -316,12 +318,14 @@ class CensusTables:
         return {n: _vertex_total(stats) for n, stats in self.class_stats.items()}
 
 
-def _sum_by(stats: Counter, field: int, gtype=None) -> Counter:
+def _sum_by(stats: Counter, field: int, gtype=None, size=None, wt=None, nonroot=False) -> Counter:
     """One length's class_stats summed by one field of its keys (0 gtype,
-    2 size), over the classes of type gtype if one is given."""
+    2 size), over the classes of the given type, size and weight (any,
+    where None), and only the non-root ones if nonroot."""
     sums = Counter()
     for key, c in stats.items():
-        if gtype in (None, key[0]):
+        g, w, s, root = key
+        if gtype in (None, g) and size in (None, s) and wt in (None, w) and not (nonroot and root):
             sums[key[field]] += c
     return sums
 
@@ -367,16 +371,6 @@ def expected_class_size(tables: CensusTables, n: int) -> Fraction:
     return Fraction(_vertex_total(stats), sum(stats.values()))
 
 
-def _count_classes(tables, n, size=None, gtype=None, wt=None, nonroot=False):
-    """Classes at length n of the given size, type and weight (any, where
-    None), and only the non-root ones if nonroot."""
-    return sum(
-        c
-        for (g, w, s, root), c in tables.class_stats[n].items()
-        if size in (None, s) and gtype in (None, g) and wt in (None, w) and not (nonroot and root)
-    )
-
-
 # Apparent limit of the number of classes of size n - k, k = 0..11, as n grows.
 LIMIT_SEQUENCE = (0, 0, 0, 0, 0, 5, 12, 17, 24, 67, 196, 437)
 
@@ -399,7 +393,7 @@ def _deficit_rows(tables, ns, wt, expected, first_n) -> list:
     for k, exp in expected.items():
         for n in ns:
             if n >= first_n(k) and n - k >= 1:
-                actual = _count_classes(tables, n, size=n - k, gtype="P1", wt=wt)
+                actual = _sum_by(tables.class_stats[n], 0, "P1", size=n - k, wt=wt).total()
                 rows.append(
                     {"k": k, "n": n, "expected": exp, "actual": actual, "ok": actual == exp}
                 )
@@ -421,7 +415,7 @@ def conjecture_report(tables: CensusTables) -> dict:
     diag = []
     for k in range(len(LIMIT_SEQUENCE)):
         all_counts, p1_counts = (
-            {n: _count_classes(tables, n, size=n - k, gtype=g) for n in tail if n - k >= 1}
+            {n: _sum_by(tables.class_stats[n], 0, g, size=n - k).total() for n in tail if n - k >= 1}
             for g in (None, "P1")
         )
         full = len(all_counts) == len(tail) == 3
@@ -461,7 +455,7 @@ def conjecture_report(tables: CensusTables) -> dict:
         ("weight5", 5, 11, lambda n: Fraction(35 * n**3 - 645 * n**2 + 3988 * n - 8262, 6)),
     )
     for name, wt, n_min, fn in specs:
-        counts = {n: _count_classes(tables, n, size=1, wt=wt, nonroot=True) for n in ns if n >= n_min}
+        counts = {n: _sum_by(tables.class_stats[n], 0, size=1, wt=wt, nonroot=True).total() for n in ns if n >= n_min}
         singles[name] = [
             {"n": n, "expected": str(fn(n)), "actual": actual, "ok": fn(n) == actual}
             for n, actual in counts.items()

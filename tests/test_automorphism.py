@@ -182,6 +182,17 @@ def test_power_step_examples_and_rejections():
         apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", 2)
 
 
+def test_tables_are_cached_translations_of_the_letter_images():
+    for pi in ALL_PERMUTATIONS:
+        images = (pi.image_of_a, pi.image_of_b, pi.image_of_a.swapcase(), pi.image_of_b.swapcase())
+        assert pi.table == str.maketrans("abAB", "".join(images))
+        assert pi.table is pi.table
+    for phi in ALL_ONE_LETTER:
+        moved = {c: u for c in "abAB" if (u := phi.as_whitehead().letter_image(c)) != c}
+        assert phi.table == str.maketrans(moved)
+        assert phi.table is phi.table
+
+
 def test_principal_vocabulary():
     assert PRINCIPALS == (
         OneLetterAut("a", "b"),

@@ -1,5 +1,6 @@
 """Exhaustive enumeration, census tables, and conjecture reporting."""
 
+import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import oracles as orc
 from conftest import cyclic_reduced_words, run_heavy_words
 from f2aut import canonical_word, enumeration
-from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, to_dict
+from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
     LIMIT_SEQUENCE,
@@ -32,7 +33,8 @@ from f2aut.enumeration import (
     expected_class_size,
     render_conjecture_report,
 )
-from f2aut.word_core import order_key, weight
+from f2aut.minimality import principal_deltas
+from f2aut.word_core import letter_tally, order_key, pair_counts, weight
 
 # classes per type at small lengths, hand-tallied once and frozen
 SMALL_TYPE_COUNTS = {
@@ -119,6 +121,18 @@ def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
     kept = sum(len(_shard_rows(12, p)) for p in _shard_prefixes(12))
     assert kept == 3588
     assert len(leaves) == 4071 <= 1.2 * kept
+
+
+def test_edge_free_minimal_words_are_p1_singletons():
+    """A minimal word with no principal of length change 0 is a finished
+    class: P1, size 1, neither root nor alternating (3,020 words up to 12)."""
+    edge_free = [
+        w for n in range(13) for w in enumerate_minimal(n) if 0 not in principal_deltas(*letter_tally(w), pair_counts(w))
+    ]
+    assert len(edge_free) == 3020
+    for w in edge_free:
+        g = build_graph(w)
+        assert (g.gtype, g.vertices, g.edges, g.is_root_class, g.has_alternating) == ("P1", (w,), (), False, False)
 
 
 def test_enumerate_minimal_is_sorted_and_canonical():
@@ -224,8 +238,8 @@ def test_census_stores_one_table_and_reads_four_views_from_it(workers):
 
 def test_census_streams_every_length_through_one_pool(monkeypatch):
     pools = []
-    make_pool = multiprocessing.Pool
-    monkeypatch.setattr(multiprocessing, "Pool", lambda *a: pools.append(a) or make_pool(*a))
+    make_pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a: pools.append(a) or make_pool(*a))
     calls = []
     census(range(11), workers=2, lines=lambda n, lines: calls.append((n, list(map(_record, lines)))))
     assert pools == [(2,)]
@@ -266,25 +280,22 @@ def test_census_pool_is_torn_down_when_the_caller_stops():
 
 
 class _SerialPool:
-    """Stands in for multiprocessing.Pool: records its size, starts no process."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor: records its size, starts no process."""
 
     sizes = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, jobs, chunksize=1):
+    def map(self, fn, jobs):
         return map(fn, jobs)
+
+    def shutdown(self, cancel_futures=False):
+        pass
 
 
 def test_pool_has_no_more_workers_than_shards(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     records = enumerate_classes(8, workers=5000)
     assert _SerialPool.sizes == [len(enumeration._shard_prefixes(8))]

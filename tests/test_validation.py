@@ -54,6 +54,9 @@ BAD_CALLS = (
     'parse_token("W[a,b]^x")',
     'parse_token("P[a,b]^2")',  # only a one-letter automorphism has a power
     'apply_cyclic(PRINCIPALS[0], "ab", 0)',
+    'apply_cyclic(PRINCIPALS[0], "aab", True)',  # a bool or a float is not a power, not even 1
+    'apply_cyclic(PRINCIPALS[0], "aab", 1.0)',
+    'apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", True)',
     'apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", 2)',
     'WhiteheadII(frozenset(), "ab")',
     'triangle_decompose("ab", "B")',
