@@ -17,6 +17,10 @@ the least rotation that carry one onto the other, or None, and translates
 only the images the letter tallies allow.  It carries a word onto a
 canonical form already known, such as a vertex of a class graph, without
 searching for that form again.
+
+apply_cyclic validates its input; _apply_cyclic is the same map on a
+cyclic word the caller has built, without the checks, as _canonical is
+for canonical_word.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from functools import cached_property
 from .word_core import (
     LETTERS,
     TheoremViolation,
+    _matched_ends,
     check_cyclic_word,
     cyclic_reduce,
     free_reduce,
@@ -165,20 +170,34 @@ def apply_cyclic(phi, w: str, k: int = 1) -> str:
     if type(k) is not int or k < 1:  # a bool or a float is not a power
         raise ValueError(f"{phi}^{k!r}: the power must be a positive integer")
     if isinstance(phi, OneLetterAut):
-        # On a reduced w the only pairs y -> yx, Y -> XY can cancel are the new
-        # xX, and deleting them leaves none; cyclic_reduce finishes other input
-        y, x = phi.y, phi.x
-        Y, X = inverse_letter(y), inverse_letter(x)
-        if k != 1:
-            return _power_image(phi, w, k)
-        return cyclic_reduce(w.replace(y, y + x).replace(Y, X + Y).replace(x + X, ""))[0]
+        if is_cyclic_word(w):
+            return _apply_cyclic(phi, w, k)
+        w = cyclic_reduce(w.translate(phi.table))[0]  # validates w; one step makes it a cyclic word
+        return w if k == 1 else _apply_cyclic(phi, w, k - 1)
     if k != 1:
         raise ValueError("only a one-letter automorphism is applied as a power")
     return cyclic_reduce(apply_whitehead(phi, w))[0]
 
 
+def _apply_cyclic(phi: OneLetterAut, w: str, k: int = 1) -> str:
+    """apply_cyclic(phi, w, k) of a cyclic word w the caller has built, without the checks.
+
+    On a reduced w the only pairs y -> yx, Y -> XY can cancel are the new
+    xX, and deleting them leaves a reduced word, so only its ends are left
+    to cancel.
+    """
+    if k != 1:
+        return _power_image(phi, w, k)
+    y, x = phi.y, phi.x
+    Y, X = inverse_letter(y), inverse_letter(x)
+    s = w.replace(y, y + x).replace(Y, X + Y).replace(x + X, "")
+    i = _matched_ends(s)
+    return s[i : len(s) - i]
+
+
 def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
-    """The string k successive apply_cyclic(phi, .) calls return, in one pass.
+    """The string k successive apply_cyclic(phi, .) calls return on the
+    cyclic word w, in one pass.
 
     Write phi = ({y}, x).  On a cyclic word the y-type letters never cancel,
     so only the x-exponents of the gaps between them move, each by k times
@@ -188,8 +207,6 @@ def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
     is y, and cyclic_reduce then cancels x's against X's across the ends;
     k steps do the same with k letters at once.
     """
-    if not is_cyclic_word(w):  # one step makes it one
-        return apply_cyclic(phi, apply_cyclic(phi, w), k - 1)
     y, x = phi.y, phi.x
     Y, X = inverse_letter(y), inverse_letter(x)
     first = [i for i in (w.find(y), w.find(Y)) if i != -1]

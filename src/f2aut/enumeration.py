@@ -50,7 +50,7 @@ from .automorphism import (
     ALL_PERMUTATIONS,
     PRINCIPALS,
     _align,
-    apply_cyclic,
+    _apply_cyclic,
     canonical_word,
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
@@ -542,7 +542,7 @@ _COINCIDENCE_RULES = (
 def _coincidences(w: str) -> list:
     """The counterexamples at one cyclic word w, in _COINCIDENCE_RULES order;
     only the images a counterexample reports are canonicalized."""
-    images = [apply_cyclic(phi, w) for phi in PRINCIPALS]
+    images = [_apply_cyclic(phi, w) for phi in PRINCIPALS]
     return [
         {"word": w, "rule": rule, "images": [canonical_word(u) for u in images]}
         for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES

@@ -30,11 +30,19 @@ conjugacy class and produces a replayable witness: a token sequence
 (one-letter automorphisms and their powers, signed permutations,
 rotations) that transforms the cyclically reduced first word, step by
 step, into the cyclically reduced second word exactly.  Each greedy run
-of k >= 2 steps is one token W[y,x]^k on either reduction leg.  Along
-the BFS path each principal image is aligned to the canonical vertex its
-parent row already holds, so only the two minimal words are canonicalized.
-The same alignment, identity permutation first, gives the rotation after
-each inverse run back up the second word's reduction.
+of k >= 2 steps is one token W[y,x]^k on either reduction leg.  So is a
+level run between the two minimal words: a path class can have n - 5
+vertices of length n, and q steps of one principal cross it.
+_power_path reads q off the exponent sums, checks the length of the
+image from its gap exponents and confirms it with one _align; any other
+pair of minimal words is joined by the breadth-first path through the
+rows of level_closure.  Each step's image is aligned to the canonical
+vertex the path already holds, so only the two minimal words are
+canonicalized.  The same alignment, identity permutation first, gives
+the rotation after each inverse run back up the second word's reduction.
+
+The internal callers apply a principal through automorphism._apply_cyclic,
+which skips apply_cyclic's checks on the cyclic words they have built.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .automorphism import (
     PRINCIPALS,
     Permutation,
     _align,
+    _apply_cyclic,
     _canonical,
     apply_cyclic,
     canonical_witness,
@@ -109,10 +118,7 @@ def _run_length(p: int, w: str, pc, deltas) -> int:
         ev[2] += slope
 
     for u, up, down in ((y, x, X), (Y, X, x)):  # a step adds one up to each gap u...u
-        i = w.find(u)
-        if i == -1:
-            continue
-        gaps = Counter((w[i + 1 :] + w[:i]).split(u))  # the cyclic gaps between two u's
+        gaps = _gaps(w, u)
         for gap in filter(re.compile(f"{down}*").fullmatch, gaps):
             # a gap of down's empties at step len(gap), where phi stops
             # shrinking it, and holds up's from the step after; so does an
@@ -141,6 +147,12 @@ def _run_length(p: int, w: str, pc, deltas) -> int:
         lo = hi
 
 
+def _gaps(w: str, u: str) -> Counter:
+    """The cyclic gaps between two consecutive letters u of w, counted."""
+    i = w.find(u)
+    return Counter((w[i + 1 :] + w[:i]).split(u)) if i != -1 else Counter()
+
+
 def _shrinking(w: str) -> tuple:
     """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
     index p of the principal the greedy rule applies to w, or None."""
@@ -163,12 +175,12 @@ def _minimize_states(w: str):
     while p is not None:
         phi, cur, k, q = PRINCIPALS[p], states[-1], 0, p
         while q == p and k < 2:
-            cur = apply_cyclic(phi, cur)
+            cur = _apply_cyclic(phi, cur)
             q, pc, deltas = _shrinking(cur)
             k += 1
         if q == p:
             j = _run_length(p, cur, pc, deltas)
-            cur = apply_cyclic(phi, cur, j)
+            cur = _apply_cyclic(phi, cur, j)
             q, k = _shrinking(cur)[0], k + j
         states.append(cur)
         runs.append((phi, k))
@@ -200,7 +212,7 @@ def vertex_row(w: str, pc, deltas) -> tuple:
     images = []
     for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1):
         if delta == 0:
-            img = apply_cyclic(phi, w)
+            img = _apply_cyclic(phi, w)
             if len(img) != n:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
             images.append((p, _canonical(img)))  # reduced by construction
@@ -290,12 +302,85 @@ def replay_witness(w: str, tokens) -> str:
     return cur
 
 
+def _exponent_sums(w: str) -> tuple[int, int]:
+    """(exponent sum of a, exponent sum of b): the image of w in Z^2."""
+    return w.count("a") - w.count("A"), w.count("b") - w.count("B")
+
+
+def _power_path(canon_w: str, canon_v: str):
+    """[((phi, q), canon_v)] when q steps of one principal phi, level on
+    canon_w, carry it onto a rotation of a permutation image of canon_v;
+    None when no single power of a principal is found to do so.
+
+    Write phi = ({y}, x) with y a generator.  A step adds the y-exponent sum
+    e_y to the x-exponent sum and keeps every other exponent sum, so q is
+    read off each signed-permutation image of canon_v's exponent sums whose
+    y-entry is e_y.  By the gap rule of _power_image, q steps add q to the
+    exponent of x in each gap y...y and of X in each gap Y...Y, and change
+    no other gap; so the length of the image is known before it is built,
+    and only an image of canon_w's length is built and aligned.
+    """
+    n = len(canon_w)
+    e = _exponent_sums(canon_w)
+    f, g = _exponent_sums(canon_v)
+    targets = {(s * f, t * g) for s in (1, -1) for t in (1, -1)}  # those of the 8 images of canon_v
+    targets |= {(b, a) for a, b in targets}
+    deltas = principal_deltas(*letter_tally(canon_w), pair_counts(canon_w))
+    for phi, delta in zip(PRINCIPALS, deltas):
+        y, x = phi.y, phi.x
+        Y, X = inverse_letter(y), inverse_letter(x)
+        iy = "ab".index(y)
+        ix, ey = 1 - iy, e[iy]
+        if delta or not ey:
+            continue
+        sign = 1 if x in "ab" else -1  # a step adds sign * ey to e[ix]
+        steps = sorted(
+            {sign * ((t[ix] - e[ix]) // ey) for t in targets if t[iy] == ey and (t[ix] - e[ix]) % ey == 0}
+        )
+        moving = [  # (exponent of the letter a step adds, number of such gaps)
+            (-len(gap) if gap[:1] == down else len(gap), count)
+            for u, up, down in ((y, x, X), (Y, X, x))
+            for gap, count in _gaps(canon_w, u).items()
+            if re.fullmatch(f"{up}*|{down}+", gap)
+        ]
+        for q in steps:
+            if 0 < q < n and sum(count * (abs(m + q) - abs(m)) for m, count in moving) == 0:
+                if _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
+                    return [((phi, q), canon_v)]
+    return None
+
+
+def _bfs_path(canon_w: str, canon_v: str):
+    """[((principal, 1), vertex), ...]: the level path from canon_w to
+    canon_v through the BFS parents of level_closure, one step per edge;
+    None when canon_v is not in the class of canon_w."""
+    # BFS parents: the first row, in discovery order, with an edge to a vertex
+    parents = {canon_w: None}
+    for u, images, _, _ in level_closure(canon_w):
+        for p, c in images:
+            parents.setdefault(c, (u, p))
+    if canon_v not in parents:
+        return None
+    path = []  # from canon_v back
+    c = canon_v
+    while parents[c] is not None:
+        u, p = parents[c]
+        path.append(((PRINCIPALS[p - 1], 1), c))
+        c = u
+    return path[::-1]
+
+
 def are_conjugate(w: str, v: str):
     """Decide whether w and v lie in the same automorphic conjugacy class.
 
     Inputs need not be reduced.  Returns (flag, tokens) where tokens is a
     replayable witness (see replay_witness) carrying cyclic_reduce(w) onto
     cyclic_reduce(v) exactly, or None when the words are not conjugate.
+
+    Between two distinct canonical minimal words a level run of one
+    principal is tried first (_power_path), and written as one token
+    W[y,x]^q; every other pair takes the breadth-first level path, one
+    principal per edge.
     """
     cw = cyclic_reduce(w)[0]
     cv = cyclic_reduce(v)[0]
@@ -307,19 +392,11 @@ def are_conjugate(w: str, v: str):
 
     canon_w, pi_w, k_w = canonical_witness(mw)
     canon_v, pi_v, k_v = canonical_witness(mv)
-    # BFS parents: the first row, in discovery order, with an edge to a vertex
-    parents = {canon_w: None}
-    for u, images, _, _ in level_closure(canon_w):
-        for p, c in images:
-            parents.setdefault(c, (u, p))
-    if canon_v not in parents:
-        return False, None
-    path = []  # (principal index, canonical vertex it reaches), from canon_v back
-    c = canon_v
-    while parents[c] is not None:
-        u, p = parents[c]
-        path.append((p, c))
-        c = u
+    path = []  # (step, canonical vertex it reaches)
+    if canon_w != canon_v:
+        path = _power_path(canon_w, canon_v) or _bfs_path(canon_w, canon_v)
+        if path is None:
+            return False, None
 
     tokens = []
     cur = cw
@@ -338,8 +415,8 @@ def are_conjugate(w: str, v: str):
         emit(run)
     emit(pi_w)
     emit(k_w)
-    for p, c in reversed(path):  # from a canonical vertex: principal, permutation, rotation
-        emit(PRINCIPALS[p - 1])
+    for step, c in path:  # from a canonical vertex: a run, then permutation and rotation
+        emit(step)
         pi, k = align(c)
         emit(pi)
         emit(k)

@@ -105,10 +105,16 @@ def cyclic_reduce(w: str) -> tuple[str, str]:
     reduction of w.  The core is in C2 and u is freely reduced.
     """
     w = free_reduce(w)
+    i = _matched_ends(w)
+    return w[i : len(w) - i], w[:i]
+
+
+def _matched_ends(w: str) -> int:
+    """How many letters at each end of a freely reduced w cancel cyclically."""
     i, n = 0, len(w)
     while 2 * (i + 1) <= n and w[i] == _INV[w[n - 1 - i]]:
         i += 1
-    return w[i : n - i], w[:i]
+    return i
 
 
 def rotate(w: str, k: int) -> str:

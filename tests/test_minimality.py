@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, raw_words, run_heavy_words
-from f2aut import minimality
+from f2aut import enumerate_classes, minimality
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -23,6 +23,8 @@ from f2aut.automorphism import (
 )
 from f2aut.class_graph import build_graph, to_dict
 from f2aut.minimality import (
+    _exponent_sums,
+    _power_path,
     _run_length,
     _shrinking,
     apply_token,
@@ -342,17 +344,18 @@ PINNED_PAIRS = [
 ] + [("abab", "aa"), ("aab", "a"), ("aabb", "abAB")]
 PINNED_GRAPH_WORDS = [w for w, _ in PINNED_PAIRS[:64]] + ["aa", "a", "aabb", "abAB"]
 
-# sha256 of the JSON list of are_conjugate results, then of to_dict graphs, below
-WITNESS_AND_GRAPH_DIGEST = "e658dd124eaf136c5a676ba17d72f424be13b0300a17b5bd03e0d6cf93d1d3cc"
+# sha256 of the JSON lines of the are_conjugate results, and of the to_dict
+# graphs, below; the witnesses write each level run as one power token
+WITNESS_DIGEST = "d798205f93f594b117fb10b570b6a1f5493945b500cacfaab3a0ed73e84dc788"
+GRAPH_DIGEST = "2101c6deae19902a608b146c5397cc323c03b96b731a6b82a8139b1b4d8fe7ef"
 
 
 def test_pinned_witnesses_replay_unchanged():
-    """The pinned witnesses have no power token and still land on the
-    cyclic core of the other word, through the library and the oracle."""
+    """The pinned witnesses land on the cyclic core of the other word,
+    through the library and the oracle."""
     for w, v in PINNED_PAIRS:
         flag, tokens = are_conjugate(w, v)
         if flag:
-            assert not any("^" in t for t in tokens)
             assert replay_witness(w, tokens) == orc.replay_tokens(w, tokens) == orc.o_cyclic_core(v)
 
 
@@ -378,11 +381,59 @@ def test_long_pushed_primitive_has_a_short_witness():
     assert orc.replay_tokens(w, tokens) == v
 
 
+def test_power_step_decides_as_the_bfs(monkeypatch):
+    """Every ordered pair of vertices of every class of length <= 11, and the
+    two ends of the wide class of a^(n-6) baBabb both ways for n <= 40: the
+    decision is the one the breadth-first path alone gives, and the witness
+    replays through the oracle.  One power of a principal joins 1,306 of the
+    1,762 pairs of distinct vertices; a wide witness has at most 12 tokens."""
+    pairs = [
+        (u, v)
+        for n in range(12)
+        for record in enumerate_classes(n)
+        for u in record.graph.vertices
+        for v in record.graph.vertices
+    ]
+    wide = [
+        pair
+        for n in range(6, 41)
+        for w, v in [("a" * (n - 6) + "baBabb", "a" * (n - 6) + "bbABAb")]
+        for pair in ((w, v), (v, w))
+    ]
+    answers = [are_conjugate(w, v) for w, v in pairs + wide]
+    assert sum(_power_path(u, v) is not None for u, v in pairs if u != v) == 1306
+    assert len([1 for u, v in pairs if u != v]) == 1762
+    assert max(len(tokens) for _, tokens in answers[len(pairs) :]) <= 12
+    monkeypatch.setattr(minimality, "_power_path", lambda u, v: None)
+    for (w, v), (flag, tokens) in zip(pairs + wide, answers):
+        assert flag is are_conjugate(w, v)[0] is True
+        assert orc.replay_tokens(w, tokens) == orc.o_cyclic_core(v)
+
+
+def test_power_step_falls_back_or_refuses(monkeypatch):
+    # every exponent sum of aabABBAb is 0, so no power of a principal moves
+    # them and the breadth-first path joins the two vertices
+    w, v = "aabABBAb", "abaBAbAB"
+    assert _exponent_sums(w) == (0, 0) and _power_path(w, v) is None
+    flag, tokens = are_conjugate(w, v)
+    assert flag and not any("^" in t for t in tokens)
+    assert orc.replay_tokens(w, tokens) == v
+    # two classes of length 6: the square of ({b}, A) keeps aaaabb's length
+    # and carries its exponent sums to those of a permutation image of
+    # aaabAB, so the image is built, and the alignment refuses it
+    built = []
+    kernel = minimality._apply_cyclic
+    monkeypatch.setattr(minimality, "_apply_cyclic", lambda phi, u, k=1: built.append(k) or kernel(phi, u, k))
+    assert _power_path("aaaabb", "aaabAB") is None and built == [2]
+    assert are_conjugate("aaaabb", "aaabAB") == are_conjugate("aaabAB", "aaaabb") == (False, None)
+
+
 def test_witnesses_and_graphs_are_pinned():
-    h = hashlib.sha256()
+    witnesses, graphs = hashlib.sha256(), hashlib.sha256()
     for w, v in PINNED_PAIRS:
         flag, tokens = are_conjugate(w, v)
-        h.update((json.dumps([flag, tokens]) + "\n").encode())
+        witnesses.update((json.dumps([flag, tokens]) + "\n").encode())
     for w in PINNED_GRAPH_WORDS:
-        h.update((json.dumps(to_dict(build_graph(w))) + "\n").encode())
-    assert h.hexdigest() == WITNESS_AND_GRAPH_DIGEST
+        graphs.update((json.dumps(to_dict(build_graph(w))) + "\n").encode())
+    assert witnesses.hexdigest() == WITNESS_DIGEST
+    assert graphs.hexdigest() == GRAPH_DIGEST
