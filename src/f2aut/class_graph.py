@@ -157,7 +157,11 @@ def to_dict(g: ClassGraph) -> dict:
 
 
 def to_json(g: ClassGraph) -> str:
-    return json.dumps(to_dict(g))
+    """json.dumps(to_dict(g)), written directly: the census renders every class line with it."""
+    v, (root, alternating) = g.vertices, ("true" if flag else "false" for flag in (g.is_root_class, g.has_alternating))
+    vertices, edges = '", "'.join(v), ", ".join([f"[{i}, {j}, {p}]" for i, j, p in g.edges])
+    head = f'{{"length": {len(v[0])}, "type": "{g.gtype}", "size": {len(v)}, "weight": {weight(v[0])}, "root": {root}'
+    return f'{head}, "alternating": {alternating}, "vertices": ["{vertices}"], "edges": [{edges}]}}'
 
 
 def from_json(text: str) -> ClassGraph:

@@ -19,13 +19,13 @@ Pipeline, per length n:
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
 4. minimality.vertex_row applies the principal automorphisms with length
-   change 0 and reduces the images to their canonical forms;
-5. _shard_job closes the class of each row with no level image below it
-   with minimality.level_closure over its own rows (computing only rows
-   outside the shard), owns it when its least vertex is the row, counts
-   its ClassGraph by (type, weight, size, root) and, if class output is
-   wanted, renders its to_dict line; under coincidences it also scans its
-   rows.  enumerate_minimal reads only the scan's vertices;
+   change 0 and canonicalizes the images; an edge-free word gets no row;
+5. _shard_job counts each one-vertex class as the scan keeps its word and
+   closes the class of each stored row with no level image below it with
+   minimality.level_closure (computing only rows outside the shard), owns
+   it if its least vertex is the row, counts it by (type, weight, size,
+   root) and, if class output is wanted, renders its to_json line; under
+   coincidences it scans each word.  enumerate_minimal reads only the scan;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the vertices kept, and numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word).
@@ -54,7 +54,7 @@ from .automorphism import (
     canonical_word,
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
-from .class_graph import ClassGraph, TheoremViolation, _assemble, to_dict
+from .class_graph import ClassGraph, TheoremViolation, _assemble, to_json
 from .minimality import _computed_row, level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, SubwordCounts, inverse_letter, order_key, weight
 
@@ -76,9 +76,10 @@ _MAPS_TO_A = tuple(
 )
 
 
-def _shard_rows(n: int, prefix: str) -> dict:
-    """The rows of one shard: the vertex_row of every vertex of length n
-    that starts with prefix, by vertex in ascending order.
+def _shard_rows(n: int, prefix: str, finish) -> tuple:
+    """(rows, finished): each vertex w of length n that starts with prefix,
+    ascending, goes to finish(w, row), row None for an edge-free word; when
+    finish returns false rows[w] = row is stored, else w counts in finished.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
@@ -111,18 +112,19 @@ def _shard_rows(n: int, prefix: str) -> dict:
     updates the run and the tied images first, since a run that ends at
     the last letter starts images that only the wrap finishes.
     """
-    if n < 2:
-        return {"a" * n: level_closure("a" * n)[0]}
+    if n < 2:  # "" or "a": one vertex, whose level images are itself
+        return ({}, 1) if finish("a" * n, row := _computed_row("a" * n)) else ({"a" * n: row}, 0)
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)
     a[1] = first = pre[0]
-    rows = {}
+    rows, finished = {}, 0
 
     def rec(t, p, tally, ab, aB, run, cap, tied):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
         # leading a-run, or n while every letter placed is an a; tied lists the
         # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
+        nonlocal finished
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
@@ -159,43 +161,57 @@ def _shard_rows(n: int, prefix: str) -> dict:
                     deltas = principal_deltas(tally_v, n - tally_v, pc)
                     if min(deltas) >= 0 and not any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
                         w = "".join([LETTERS[c] for c in a[1:]])
-                        rows[w] = vertex_row(w, pc, deltas)
+                        row = vertex_row(w, pc, deltas) if 0 in deltas else None
+                        if finish(w, row):
+                            finished += 1
+                        else:
+                            rows[w] = row
 
     rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
-    return rows
+    return rows, finished
 
 
 def _shard_job(job) -> tuple:
     """One shard, finished: (class_stats Counter of the classes it owns,
-    rows kept, their to_dict lines by size or None, coincidence failures).
+    vertices kept, their to_json lines by size or None, coincidence failures).
 
-    job is (n, prefix, out, weight, scan).  From each row with no level
-    image below it, level_closure collects the class, computing only rows
-    outside the shard, and the shard owns the class when its least vertex
-    is the row.  With out, lines[size] lists its classes by least vertex,
+    job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
+    the scan keeps its word: edge-free (P1, as a root or alternating minimal
+    word has a level principal) or with loops only (level edges come in
+    inverse pairs).  A stored row with no level image below it closes its
+    class, computing only rows outside the shard, and owns it if it is its
+    least vertex.  With out, lines[size] lists its classes by least vertex,
     None for one not of weight (if given).
     """
     n, prefix, out, wt, scan = job
-    rows = _shard_rows(n, prefix)
-    stats, lines = Counter(), {}
-    for w, (_, images, _, _) in rows.items():
-        if images and min(order_key(c) for _, c in images) < order_key(w):
-            continue  # not the least vertex of its class
-        g = _assemble(level_closure(w, lambda u: rows.get(u) or _computed_row(u)))
-        if g.vertices[0] != w:
-            continue  # its least vertex owns it
-        size, w_weight = len(g.vertices), weight(w)
+    stats, lines, failures = Counter(), {}, []
+
+    def count(g):
+        size, w_weight = len(g.vertices), weight(g.vertices[0])
         stats[g.gtype, w_weight, size, g.is_root_class] += 1
         if out:
-            line = json.dumps(to_dict(g)) if wt in (None, w_weight) else None
-            lines.setdefault(size, []).append(line)
-    failures = [f for w in rows for f in _coincidences(w)] if scan else None
-    return stats, len(rows), lines if out else None, failures
+            lines.setdefault(size, []).append(to_json(g) if wt in (None, w_weight) else None)
+
+    def finish(w, row):  # true when w's class has one vertex, counted here
+        failures.extend(_coincidences(w) if scan else ())
+        if row is None or all(c == w for _, c in row[1]):
+            count(ClassGraph((w,), (), False, False, "P1") if row is None else _assemble([row]))
+            return True
+        return False
+
+    rows, finished = _shard_rows(n, prefix, finish)
+    for w, (_, images, _, _) in rows.items():
+        if min(order_key(c) for _, c in images) < order_key(w):
+            continue  # not the least vertex of its class
+        g = _assemble(level_closure(w, lambda u: rows.get(u) or _computed_row(u)))
+        if g.vertices[0] == w:  # its least vertex owns it
+            count(g)
+    return stats, len(rows) + finished, lines if out else None, failures if scan else None
 
 
 def _shard_words(job) -> list:
     """The vertices of one shard (n, prefix), in ascending order."""
-    return list(_shard_rows(*job))
+    return list(_shard_rows(*job, lambda w, row: False)[0])
 
 
 def _shard_prefixes(n: int) -> list:

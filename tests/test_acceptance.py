@@ -111,6 +111,27 @@ def test_criterion_2_stretch_length_16(acceptance_log, golden_type_counts, worke
     acceptance_log.append("criterion 2 stretch (lengths 15..16): PASS")
 
 
+@pytest.mark.skipif(
+    os.environ.get("F2AUT_STRETCH_LARGE") != "1",
+    reason="stretch check: set F2AUT_STRETCH_LARGE=1 to enumerate lengths 17..18 (about 30 s on 2 vCPU)",
+)
+def test_criteria_2_to_4_stretch_lengths_17_18(
+    acceptance_log, golden_type_counts, golden_size_histograms, worker_count
+):
+    """Type counts, P1-P3 size histograms and the n - 5 size bound of
+    lengths 17 and 18 against the committed fixtures."""
+    tables = census((17, 18), workers=worker_count)
+    for n in (17, 18):
+        ours = {g: tables.type_counts[n].get(g, 0) for g in GRAPH_TYPE_ORDER}
+        fixture = {g: golden_type_counts[str(n)].get(g, 0) for g in GRAPH_TYPE_ORDER}
+        assert ours == fixture, f"type counts differ at n={n}"
+        for gtype in ("P1", "P2", "P3"):
+            ours = {str(size): count for size, count in tables.size_counts[gtype].get(n, {}).items()}
+            assert ours == golden_size_histograms[gtype].get(str(n), {}), f"{gtype} histogram differs at n={n}"
+        assert max(size for (_, _, size, _) in tables.class_stats[n]) <= n - 5
+    acceptance_log.append("criteria 2-4 stretch (lengths 17..18): PASS")
+
+
 def test_criterion_3_size_histograms_to_length_14(
     acceptance_log, golden_size_histograms, census14
 ):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles as orc
 from f2aut.automorphism import PRINCIPALS, apply_cyclic, canonical_word
 from f2aut.class_graph import (
+    GRAPH_TYPES,
     ClassGraph,
     TheoremViolation,
     build_graph,
@@ -201,6 +202,18 @@ def test_json_round_trip():
     for word, _, _ in KNOWN_CLASSES:
         g = build_graph(word)
         assert from_json(to_json(g)) == g
+
+
+def test_to_json_is_json_dumps_of_to_dict(census14):
+    """to_json writes the to_dict schema without json.dumps; every class of
+    lengths 0..12 (all ten types), the known classes and the 25-vertex wide
+    path give the same text both ways."""
+    _, records_by_length = census14
+    graphs = [rec.graph for records in records_by_length.values() for rec in records]
+    graphs += [build_graph(word) for word, _, _ in KNOWN_CLASSES] + [build_graph("a" * 24 + "baBabb")]
+    assert {g.gtype for g in graphs} == set(GRAPH_TYPES)
+    for g in graphs:
+        assert to_json(g) == json.dumps(to_dict(g))
 
 
 def test_census_lines_read_back_as_their_graphs(census14):

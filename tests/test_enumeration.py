@@ -74,10 +74,12 @@ def unpruned_rows(n: int, prefix: str) -> list:
 
 def check_shards_match_unpruned_scan(n: int, prefixes) -> None:
     for p in prefixes:
-        rows = _shard_rows(n, p)
+        rows, finished = _shard_rows(n, p, lambda w, row: False)  # finish nothing: store every row
+        assert finished == 0
         assert list(rows) == unpruned_rows(n, p), p
-        for row in rows.values():
-            assert row == orc.o_vertex_row(row[0])
+        for w, row in rows.items():
+            expected = orc.o_vertex_row(w)
+            assert row == (expected if expected[1] else None)  # no row is built for an edge-free word
 
 
 # the reduced prefixes of two to four letters whose first letter after the
@@ -118,7 +120,7 @@ def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
 
     principal_deltas = enumeration.principal_deltas
     monkeypatch.setattr(enumeration, "principal_deltas", counted)
-    kept = sum(len(_shard_rows(12, p)) for p in _shard_prefixes(12))
+    kept = sum(_shard_rows(12, p, lambda w, row: True)[1] for p in _shard_prefixes(12))
     assert kept == 3588
     assert len(leaves) == 4071 <= 1.2 * kept
 
@@ -312,10 +314,12 @@ def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
 
 
 def _census_of_rows(monkeypatch, rows):
-    """census([6]) with the scan replaced by one shard of the given rows."""
+    """census([6]) with the scan replaced by one shard of the given rows,
+    each handed to the job's finish as the scan would."""
 
-    def one_shard(n, prefix):
-        return {row[0]: row for row in rows}
+    def one_shard(n, prefix, finish):
+        stored = {row[0]: row for row in rows if not finish(row[0], row)}
+        return stored, len(rows) - len(stored)
 
     monkeypatch.setattr(enumeration, "_shard_rows", one_shard)
     return census([6])
@@ -339,19 +343,70 @@ _rows_of_shard = enumeration._shard_rows
 
 
 def test_a_row_dropped_from_a_shard_breaks_the_vertex_total(monkeypatch):
-    def drop_one(n, prefix):
-        rows = _rows_of_shard(n, prefix)
+    def drop_one(n, prefix, finish):
+        rows, finished = _rows_of_shard(n, prefix, finish)
         if prefix in ("a", "aaab"):  # the one-job shard, and one of the n >= 8 shards
             # a row with a level image below it, which its class's least
             # vertex reaches: that closure computes it again
             below = (w for w, (_, images, _, _) in rows.items() if any(order_key(c) < order_key(w) for _, c in images))
             del rows[next(below)]
-        return rows
+        return rows, finished
 
     monkeypatch.setattr(enumeration, "_shard_rows", drop_one)
     for workers in (1, 2):
         with pytest.raises(TheoremViolation, match="length 9: the classes hold 177 vertices, the scan kept 176"):
             census([9], workers=workers)
+
+
+def _edge_free(w: str) -> bool:
+    return 0 not in principal_deltas(*letter_tally(w), pair_counts(w))
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("dropped", ("aaaaaabbb", "aaaaaabaB"))
+def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypatch, dropped, workers):
+    """The leaf reports a class finished that nobody counted: an edge-free
+    word, or a word whose every level image is itself."""
+    assert _edge_free(dropped) == (dropped == "aaaaaabbb")
+    assert {c for _, c in orc.o_vertex_row(dropped)[1]} <= {dropped}
+
+    def drop_at_leaf(n, prefix, finish):
+        return _rows_of_shard(n, prefix, lambda w, row: w == dropped or finish(w, row))
+
+    monkeypatch.setattr(enumeration, "_shard_rows", drop_at_leaf)
+    with pytest.raises(TheoremViolation, match="length 9: the classes hold 176 vertices, the scan kept 177"):
+        census([9], workers=workers)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
+    """At n = 12 no edge-free word gets a vertex_row, a level_closure or an
+    _assemble, also in the workers: calls are counted in shared memory,
+    (all calls, calls on an edge-free word) per function."""
+    counts = multiprocessing.Array("q", 6)
+
+    def counted(k, fn, words_of):
+        def call(*args):
+            with counts.get_lock():
+                counts[2 * k] += 1
+                counts[2 * k + 1] += any(map(_edge_free, words_of(*args)))
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(enumeration, "vertex_row", counted(0, enumeration.vertex_row, lambda w, *_: [w]))
+    monkeypatch.setattr(enumeration, "level_closure", counted(1, enumeration.level_closure, lambda w, *_: [w]))
+    monkeypatch.setattr(enumeration, "_assemble", counted(2, enumeration._assemble, lambda rows: [r[0] for r in rows]))
+    written = []
+    tables = census([12], workers, lines=lambda n, lines: written.extend(lines))
+    assert len(written) == tables.class_totals[12] == 2544
+    calls, edge_free_calls = counts[0::2], counts[1::2]
+    assert edge_free_calls == [0, 0, 0]
+    assert min(calls) > 0
+    if workers == 1:
+        # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
+        # 1,512 stored rows hold 549 heads, each closed and assembled once
+        assert calls == [92 + 1512, 549, 549 + 92]
 
 
 @pytest.mark.parametrize("n", range(8, 14))
