@@ -154,6 +154,15 @@ def conjugate_by_perm(phi: OneLetterAut, pi: Permutation) -> OneLetterAut:
     return OneLetterAut(pi(phi.y), pi(phi.x))
 
 
+# _REVERSE[p - 1][i]: the principal carrying c back onto a canonical u when _canonical reaches c
+# from principal p's image of u through pi = ALL_PERMUTATIONS[i]: psi^-1 = ({y}, x) for psi =
+# conjugate_by_perm(p, pi), or ({y^-1}, x^-1) if y is inverse, the same map up to rotation.
+_REVERSE = tuple(
+    tuple(PRINCIPALS.index(OneLetterAut(s.y.lower(), s.x if s.y in "ab" else inverse_letter(s.x))) + 1 for s in psis)
+    for psis in ([conjugate_by_perm(phi.inverse(), pi) for pi in ALL_PERMUTATIONS] for phi in PRINCIPALS)
+)
+
+
 def apply_whitehead(phi: WhiteheadII, w: str) -> str:
     """Letterwise image, freely reduced."""
     return free_reduce("".join(phi.letter_image(c) for c in w))
@@ -247,8 +256,8 @@ _ORDER_TABLES = tuple(
     str.maketrans({c: order_key(pi(c)) for c in LETTERS}) for pi in ALL_PERMUTATIONS
 )
 _FROM_ORDER = str.maketrans("0123", LETTERS)
-# letter c -> the tables of the two images sending c to a
-_TABLES_TO_A = {c: [t for t in _ORDER_TABLES if c.translate(t) == "0"] for c in LETTERS}
+# letter c -> (index into ALL_PERMUTATIONS, table) of the two images sending c to a
+_TABLES_TO_A = {c: [(i, t) for i, t in enumerate(_ORDER_TABLES) if c.translate(t) == "0"] for c in LETTERS}
 
 
 def _longest_run(w: str) -> int:
@@ -279,11 +288,12 @@ def canonical_word(w: str) -> str:
     rotation of a permutation image of the other.
     """
     check_cyclic_word(w)
-    return _canonical(w)
+    return _canonical(w)[0]
 
 
-def _canonical(w: str) -> str:
-    """canonical_word of a cyclic word the caller has built, without the check.
+def _canonical(w: str) -> tuple[str, int]:
+    """(canonical_word(w), i) of a cyclic word w the caller has built, without
+    the check: the form is a rotation of ALL_PERMUTATIONS[i](w).
 
     The least rotation of all the images starts with a^r, where r is the
     longest run of one letter in w, since some permutation sends that letter
@@ -294,17 +304,17 @@ def _canonical(w: str) -> str:
     z = "0" * run
     end = n + run - 1  # matches of z in the doubled image start below n
     ww = w + w
-    best = None
+    best, index = None, 0
     for c, to_a in _TABLES_TO_A.items():
         if c * run in ww:
-            for table in to_a:
+            for j, table in to_a:
                 tt = ww.translate(table)
                 i = tt.find(z, 0, end)
                 while i != -1:
                     if best is None or tt[i : i + n] < best:
-                        best = tt[i : i + n]
+                        best, index = tt[i : i + n], j
                     i = tt.find(z, i + 1, end)
-    return (best or "").translate(_FROM_ORDER)
+    return (best or "").translate(_FROM_ORDER), index
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:

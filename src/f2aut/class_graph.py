@@ -157,10 +157,15 @@ def to_dict(g: ClassGraph) -> dict:
 
 
 def to_json(g: ClassGraph) -> str:
-    """json.dumps(to_dict(g)), written directly: the census renders every class line with it."""
-    v, (root, alternating) = g.vertices, ("true" if flag else "false" for flag in (g.is_root_class, g.has_alternating))
+    """json.dumps(to_dict(g)), written directly."""
+    return _to_json(g, weight(g.vertices[0]))
+
+
+def _to_json(g: ClassGraph, wt: int) -> str:
+    """to_json(g) of a graph of weight wt: the census renders every class line with it."""
+    v, root, alternating = g.vertices, "true" if g.is_root_class else "false", "true" if g.has_alternating else "false"
     vertices, edges = '", "'.join(v), ", ".join([f"[{i}, {j}, {p}]" for i, j, p in g.edges])
-    head = f'{{"length": {len(v[0])}, "type": "{g.gtype}", "size": {len(v)}, "weight": {weight(v[0])}, "root": {root}'
+    head = f'{{"length": {len(v[0])}, "type": "{g.gtype}", "size": {len(v)}, "weight": {wt}, "root": {root}'
     return f'{head}, "alternating": {alternating}, "vertices": ["{vertices}"], "edges": [{edges}]}}'
 
 

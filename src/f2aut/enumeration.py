@@ -18,14 +18,16 @@ Pipeline, per length n:
    0), drops the subtree of any that falls below, and finishes the images
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
-4. minimality.vertex_row applies the principal automorphisms with length
-   change 0 and canonicalizes the images; an edge-free word gets no row;
+4. _shard_job builds the rows with minimality.vertex_row, ascending: a row
+   hands the reverse of each level edge it canonicalizes to the row of a
+   later word of the shard, so each edge is canonicalized once.  No row is
+   built for an edge-free word, nor for enumerate_minimal;
 5. _shard_job counts each one-vertex class as the scan keeps its word and
    closes the class of each stored row with no level image below it with
    minimality.level_closure (computing only rows outside the shard), owns
    it if its least vertex is the row, counts it by (type, weight, size,
-   root) and, if class output is wanted, renders its to_json line; under
-   coincidences it scans each word.  enumerate_minimal reads only the scan;
+   root) and, if class output is wanted, renders its JSON line; under
+   coincidences it scans each word;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the vertices kept, and numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word).
@@ -54,8 +56,8 @@ from .automorphism import (
     canonical_word,
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
-from .class_graph import ClassGraph, TheoremViolation, _assemble, to_json
-from .minimality import _computed_row, level_closure, principal_deltas, vertex_row
+from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
+from .minimality import level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
@@ -77,9 +79,9 @@ _MAPS_TO_A = tuple(
 
 
 def _shard_rows(n: int, prefix: str, finish) -> tuple:
-    """(rows, finished): each vertex w of length n that starts with prefix,
-    ascending, goes to finish(w, row), row None for an edge-free word; when
-    finish returns false rows[w] = row is stored, else w counts in finished.
+    """(rows, finished): finish(w, pc, deltas) gets each vertex w of length n
+    that starts with prefix, ascending, with its pair_counts and deltas;
+    rows[w] stores what it returns, or w counts in finished on None.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
@@ -112,8 +114,8 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
     updates the run and the tied images first, since a run that ends at
     the last letter starts images that only the wrap finishes.
     """
-    if n < 2:  # "" or "a": one vertex, whose level images are itself
-        return ({}, 1) if finish("a" * n, row := _computed_row("a" * n)) else ({"a" * n: row}, 0)
+    if n < 2:  # "" or "a": one vertex, of principal_deltas (n, n, 0, 0), whose level images are itself
+        return ({}, 1) if (row := finish("a" * n, SubwordCounts(0, 0, 0, 0), (n, n, 0, 0))) is None else ({"a" * n: row}, 0)
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)
@@ -161,8 +163,7 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
                     deltas = principal_deltas(tally_v, n - tally_v, pc)
                     if min(deltas) >= 0 and not any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
                         w = "".join([LETTERS[c] for c in a[1:]])
-                        row = vertex_row(w, pc, deltas) if 0 in deltas else None
-                        if finish(w, row):
+                        if (row := finish(w, pc, deltas)) is None:
                             finished += 1
                         else:
                             rows[w] = row
@@ -178,40 +179,45 @@ def _shard_job(job) -> tuple:
     job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
     the scan keeps its word: edge-free (P1, as a root or alternating minimal
     word has a level principal) or with loops only (level edges come in
-    inverse pairs).  A stored row with no level image below it closes its
-    class, computing only rows outside the shard, and owns it if it is its
-    least vertex.  With out, lines[size] lists its classes by least vertex,
-    None for one not of weight (if given).
+    inverse pairs).  The rows share one reverse table (see vertex_row).  A
+    stored row with no level image below it closes its class, computing
+    only rows outside the shard, and owns it if it is its least vertex.
+    With out, lines[size] lists its classes by least vertex, None for one
+    not of weight (if given).
     """
     n, prefix, out, wt, scan = job
-    stats, lines, failures = Counter(), {}, []
+    stats, lines, failures, reverse = Counter(), {}, [], {}
 
     def count(g):
         size, w_weight = len(g.vertices), weight(g.vertices[0])
         stats[g.gtype, w_weight, size, g.is_root_class] += 1
         if out:
-            lines.setdefault(size, []).append(to_json(g) if wt in (None, w_weight) else None)
+            lines.setdefault(size, []).append(_to_json(g, w_weight) if wt in (None, w_weight) else None)
 
-    def finish(w, row):  # true when w's class has one vertex, counted here
+    def finish(w, pc, deltas):  # w's row, or None when w's class has one vertex, counted here
         failures.extend(_coincidences(w) if scan else ())
-        if row is None or all(c == w for _, c in row[1]):
-            count(ClassGraph((w,), (), False, False, "P1") if row is None else _assemble([row]))
-            return True
-        return False
+        if 0 in deltas:  # the scan goes up, so the larger words of the shard are still to come
+            row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > order_key(w))
+            if any(c != w for _, c in row[1]):
+                return row
+        count(_assemble([row]) if 0 in deltas else ClassGraph((w,), (), False, False, "P1"))
+        return None
 
     rows, finished = _shard_rows(n, prefix, finish)
+    if reverse:
+        raise TheoremViolation(f"length {n}, shard {prefix!r}: no row took the level edges handed to {sorted(reverse)}")
     for w, (_, images, _, _) in rows.items():
         if min(order_key(c) for _, c in images) < order_key(w):
             continue  # not the least vertex of its class
-        g = _assemble(level_closure(w, lambda u: rows.get(u) or _computed_row(u)))
+        g = _assemble(level_closure(w, rows))
         if g.vertices[0] == w:  # its least vertex owns it
             count(g)
     return stats, len(rows) + finished, lines if out else None, failures if scan else None
 
 
 def _shard_words(job) -> list:
-    """The vertices of one shard (n, prefix), in ascending order."""
-    return list(_shard_rows(*job, lambda w, row: False)[0])
+    """The vertices of one shard (n, prefix), in ascending order; no row is built."""
+    return list(_shard_rows(*job, lambda w, pc, deltas: w)[0])
 
 
 def _shard_prefixes(n: int) -> list:

@@ -22,8 +22,9 @@ boundaries are kept.
 
 vertex_row is the one map from a vertex of a class graph to its level
 edges, and level_closure is the one way a class is found: it collects the
-rows of one class breadth-first.  build_graph and are_conjugate compute
-each row; the enumeration reads them from the rows of its scan.
+rows of one class breadth-first.  The rows of a closure or of a shard
+share a reverse table: each level edge is canonicalized at one end, and
+_REVERSE names its inverse edge, which the table hands to the other.
 
 are_conjugate decides whether two words lie in the same automorphic
 conjugacy class and produces a replayable witness: a token sequence
@@ -54,6 +55,7 @@ from .automorphism import (
     OneLetterAut,
     PRINCIPALS,
     Permutation,
+    _REVERSE,
     _align,
     _apply_cyclic,
     _canonical,
@@ -202,42 +204,48 @@ def minimize(w: str) -> tuple[str, tuple]:
 
 # --- class graph rows ----------------------------------------------------
 
-def vertex_row(w: str, pc, deltas) -> tuple:
+def vertex_row(w: str, pc, deltas, reverse: dict, ahead) -> tuple:
     """(w, [(principal index, canonical image), ...], is_root, alternating)
     for a canonical minimal word w with pair_counts pc and principal_deltas
     deltas: one entry per principal with length change 0, in PRINCIPALS
-    order; the two flags are vertex_flags(len(w), pc).
+    order; the two flags are vertex_flags(len(w), pc).  The edges handed
+    over in reverse.pop(w) are known; each other level image is canonicalized
+    to c, and its reverse edge (see _REVERSE) goes to this row if c is w, else
+    to reverse[c] if ahead(c), that is, if c's row is still to come.
     """
-    n = len(w)
-    images = []
+    n, images = len(w), reverse.pop(w, {})
     for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1):
-        if delta == 0:
+        if delta == 0 and p not in images:
             img = _apply_cyclic(phi, w)
             if len(img) != n:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
-            images.append((p, _canonical(img)))  # reduced by construction
-    return (w, images, *vertex_flags(n, pc))
+            c, i = _canonical(img)  # img is reduced by construction
+            images[p] = c
+            if c == w or ahead(c):
+                (images if c == w else reverse.setdefault(c, {})).setdefault(_REVERSE[p - 1][i], w)
+    if any(deltas[q - 1] for q in images):
+        raise TheoremViolation(f"an edge handed to {w!r} names a principal not level on it: {sorted(images.items())}")
+    return (w, sorted(images.items()), *vertex_flags(n, pc))
 
 
-def _computed_row(u: str) -> tuple:
-    """The vertex_row of a canonical word that must be minimal."""
-    pc = pair_counts(u)
-    deltas = principal_deltas(*letter_tally(u), pc)
-    if min(deltas) < 0:
-        raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
-    return vertex_row(u, pc, deltas)
-
-
-def level_closure(start: str, row_of=_computed_row) -> list:
+def level_closure(start: str, known=None) -> list:
     """The vertex_row of every vertex of the class graph of start, a
-    canonical minimal word, in breadth-first discovery order; row_of(u)
-    supplies the row of each vertex u reached, computed from u by default."""
-    seen = {start}
-    queue = [start]
-    rows = []
+    canonical minimal word, in breadth-first discovery order: known[u] if
+    known holds it, else computed from u.  The computed rows share one
+    reverse table, which canonicalizes each edge between them once."""
+    seen, done, reverse, known = {start}, set(), {}, known or {}
+    queue, rows = [start], []
     for u in queue:
-        rows.append(row_of(u))
-        for _, c in rows[-1][1]:
+        done.add(u)
+        row = known.get(u)
+        if row is None:  # u must be minimal
+            pc = pair_counts(u)
+            deltas = principal_deltas(*letter_tally(u), pc)
+            if min(deltas) < 0:
+                raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
+            row = vertex_row(u, pc, deltas, reverse, lambda c: c not in done)
+        rows.append(row)
+        for _, c in row[1]:
             if c not in seen:
                 seen.add(c)
                 queue.append(c)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, raw_words, reduced_words, run_heavy_words
-from f2aut import automorphism
+from f2aut import automorphism, enumerate_minimal
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -16,7 +16,9 @@ from f2aut.automorphism import (
     OneLetterAut,
     Permutation,
     WhiteheadII,
+    _REVERSE,
     _align,
+    _canonical,
     _longest_run,
     all_whitehead,
     apply_cyclic,
@@ -272,6 +274,37 @@ def test_canonical_forms_on_long_words(w):
 def test_canonical_forms_on_run_heavy_words(w):
     assert canonical_word(w) == orc.o_canonical(w)
     assert canonical_witness(w) == brute_force_witness(w)
+
+
+def test_reverse_principal_matches_brute_force():
+    """For each canonical minimal word u of length <= 9 and each level
+    principal p: _canonical reaches the canonical form c of the image
+    through the permutation it names, and principal _REVERSE[p - 1][i]
+    carries c back onto u, by the oracle's maps and canonical form."""
+    edges = 0
+    for n in range(10):
+        for u in enumerate_minimal(n):
+            for p, d in enumerate(orc.PRINCIPAL_MAPS, start=1):
+                image = orc.o_apply_cyclic(d, u)
+                if len(image) == n:
+                    c, i = _canonical(image)
+                    assert c == orc.o_canonical(image) and c in ALL_PERMUTATIONS[i](image) * 2
+                    q = orc.PRINCIPAL_MAPS[_REVERSE[p - 1][i] - 1]
+                    assert orc.o_canonical(orc.o_apply_cyclic(q, c)) == u, (u, p)
+                    edges += 1
+    assert edges == 351  # level (word, principal) pairs of lengths 0..9
+
+
+@given(st.one_of(cyclic_reduced_words(min_size=13, max_size=120), run_heavy_words()), st.sampled_from(range(4)))
+def test_reverse_principal_undoes_any_principal_image(w, p):
+    """The rule behind _REVERSE needs no level edge: for any cyclic word w
+    and principal p, the reverse principal of the canonical form of p's
+    image carries it back onto a word with w's canonical form."""
+    image = orc.o_apply_cyclic(orc.PRINCIPAL_MAPS[p], w)
+    c, i = _canonical(image)
+    assert c == orc.o_canonical(image) and c in ALL_PERMUTATIONS[i](image) * 2
+    q = orc.PRINCIPAL_MAPS[_REVERSE[p][i] - 1]
+    assert orc.o_canonical(orc.o_apply_cyclic(q, c)) == orc.o_canonical(w)
 
 
 def test_canonical_word_on_every_short_word():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, run_heavy_words
-from f2aut import canonical_word, enumeration
+from f2aut import canonical_word, enumeration, minimality
 from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
@@ -25,7 +25,7 @@ from f2aut.enumeration import (
     _record,
     _shard_job,
     _shard_prefixes,
-    _shard_rows,
+    _shard_words,
     census,
     conjecture_report,
     enumerate_classes,
@@ -72,14 +72,26 @@ def unpruned_rows(n: int, prefix: str) -> list:
     return sorted(words, key=order_key)
 
 
-def check_shards_match_unpruned_scan(n: int, prefixes) -> None:
+def check_shards_match_unpruned_scan(monkeypatch, n: int, prefixes) -> None:
+    """Each shard's words, which enumerate_minimal reads, are the unpruned
+    scan's, and every row its job builds with the shard's reverse table is
+    the oracle's vertex_row; no row is built for an edge-free word."""
+    built = {}
+
+    def recorded(w, *args):
+        built[w] = real(w, *args)
+        return built[w]
+
+    real = enumeration.vertex_row
+    monkeypatch.setattr(enumeration, "vertex_row", recorded)
     for p in prefixes:
-        rows, finished = _shard_rows(n, p, lambda w, row: False)  # finish nothing: store every row
-        assert finished == 0
-        assert list(rows) == unpruned_rows(n, p), p
-        for w, row in rows.items():
-            expected = orc.o_vertex_row(w)
-            assert row == (expected if expected[1] else None)  # no row is built for an edge-free word
+        words = unpruned_rows(n, p)
+        assert _shard_words((n, p)) == words, p
+        built.clear()
+        _shard_job((n, p, False, None, False))
+        assert list(built) == [w for w in words if orc.o_vertex_row(w)[1]], p
+        for w, row in built.items():
+            assert row == orc.o_vertex_row(w)
 
 
 # the reduced prefixes of two to four letters whose first letter after the
@@ -88,13 +100,13 @@ B_FIRST_PREFIXES = [p for k in (2, 3, 4) for p in orc.reduced_words(k, "a") if p
 
 
 @pytest.mark.parametrize("n", range(1, 13))
-def test_sharded_rows_match_oracle(n):
+def test_sharded_rows_match_oracle(monkeypatch, n):
     """Both prunes of the scan, the minimality bound and the tied images,
     drop only words the full filters drop: the one-job shard, from n = 8
     every forced-prefix shard and, up to n = 10, every B-first prefix give
     the unpruned rows in order."""
     b_first = [p for p in B_FIRST_PREFIXES if len(p) <= n <= 10]
-    check_shards_match_unpruned_scan(n, dict.fromkeys(["a", *_shard_prefixes(n), *b_first]))
+    check_shards_match_unpruned_scan(monkeypatch, n, dict.fromkeys(["a", *_shard_prefixes(n), *b_first]))
 
 
 @pytest.mark.skipif(
@@ -102,8 +114,8 @@ def test_sharded_rows_match_oracle(n):
     reason="stretch check: set F2AUT_STRETCH=1 to compare the shards of lengths 13..14 with the unpruned scan",
 )
 @pytest.mark.parametrize("n", (13, 14))
-def test_stretch_sharded_rows_match_oracle(n):
-    check_shards_match_unpruned_scan(n, _shard_prefixes(n))
+def test_stretch_sharded_rows_match_oracle(monkeypatch, n):
+    check_shards_match_unpruned_scan(monkeypatch, n, _shard_prefixes(n))
 
 
 def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
@@ -120,7 +132,7 @@ def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
 
     principal_deltas = enumeration.principal_deltas
     monkeypatch.setattr(enumeration, "principal_deltas", counted)
-    kept = sum(_shard_rows(12, p, lambda w, row: True)[1] for p in _shard_prefixes(12))
+    kept = sum(len(_shard_words((12, p))) for p in _shard_prefixes(12))
     assert kept == 3588
     assert len(leaves) == 4071 <= 1.2 * kept
 
@@ -314,13 +326,16 @@ def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
 
 
 def _census_of_rows(monkeypatch, rows):
-    """census([6]) with the scan replaced by one shard of the given rows,
-    each handed to the job's finish as the scan would."""
+    """census([6]) with the scan replaced by one shard of the words of the
+    given rows, each handed to the job's finish as the scan would, with a
+    level principal; vertex_row returns the given row."""
+    by_word = {row[0]: row for row in rows}
 
     def one_shard(n, prefix, finish):
-        stored = {row[0]: row for row in rows if not finish(row[0], row)}
+        stored = {w: row for w in by_word if (row := finish(w, None, (0, 0, 0, 0))) is not None}
         return stored, len(rows) - len(stored)
 
+    monkeypatch.setattr(enumeration, "vertex_row", lambda w, *_: by_word[w])
     monkeypatch.setattr(enumeration, "_shard_rows", one_shard)
     return census([6])
 
@@ -371,7 +386,7 @@ def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypa
     assert {c for _, c in orc.o_vertex_row(dropped)[1]} <= {dropped}
 
     def drop_at_leaf(n, prefix, finish):
-        return _rows_of_shard(n, prefix, lambda w, row: w == dropped or finish(w, row))
+        return _rows_of_shard(n, prefix, lambda w, *counts: None if w == dropped else finish(w, *counts))
 
     monkeypatch.setattr(enumeration, "_shard_rows", drop_at_leaf)
     with pytest.raises(TheoremViolation, match="length 9: the classes hold 176 vertices, the scan kept 177"):
@@ -407,6 +422,54 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
         # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
         # 1,512 stored rows hold 549 heads, each closed and assembled once
         assert calls == [92 + 1512, 549, 549 + 92]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_enumerate_minimal_builds_no_rows(monkeypatch, workers):
+    """enumerate_minimal reads only the scan's words: at n = 12 it calls no
+    vertex_row, also in the workers, where census calls it (calls counted
+    in shared memory)."""
+    calls = multiprocessing.Value("q", 0)
+
+    def counted(fn):
+        def call(*args):
+            with calls.get_lock():
+                calls.value += 1
+            return fn(*args)
+
+        return call
+
+    for module in (enumeration, minimality):
+        monkeypatch.setattr(module, "vertex_row", counted(module.vertex_row))
+    assert len(enumerate_minimal(12, workers)) == 3588
+    assert calls.value == 0
+    census([12], workers)
+    assert calls.value >= 92 + 1512
+
+
+def test_a_reverse_edge_left_after_the_scan_fails_the_shard(monkeypatch):
+    """An entry of the shard's reverse table that no row takes, here one
+    handed to a word the scan never reaches, raises when the scan ends."""
+
+    def stale(w, pc, deltas, reverse, ahead):
+        reverse["bbbbbbbbb"] = {1: w}
+        return real(w, pc, deltas, reverse, ahead)
+
+    real = enumeration.vertex_row
+    monkeypatch.setattr(enumeration, "vertex_row", stale)
+    with pytest.raises(TheoremViolation, match="length 9, shard 'a': no row took the level edges handed to"):
+        _shard_job((9, "a", False, None, False))
+
+
+def test_the_scan_canonicalizes_each_level_edge_once(monkeypatch):
+    """census([12]) on one worker canonicalizes 1,511 level images, not one
+    per end of an edge (2,969): a row hands the reverse of each edge to a
+    larger word to that word's row."""
+    calls = []
+    real = minimality._canonical
+    monkeypatch.setattr(minimality, "_canonical", lambda w: calls.append(w) or real(w))
+    census([12])
+    assert len(calls) == 1511
 
 
 @pytest.mark.parametrize("n", range(8, 14))

@@ -188,7 +188,29 @@ def test_level_closure_rows_match_oracle_in_discovery_order(w):
 def test_vertex_row_rejects_a_wrong_length_change():
     # ({a}, b) lengthens aa by 2; a delta of 0 claimed for it must not pass
     with pytest.raises(TheoremViolation):
-        vertex_row("aa", pair_counts("aa"), (0, 2, 0, 0))
+        vertex_row("aa", pair_counts("aa"), (0, 2, 0, 0), {}, lambda c: False)
+
+
+def test_vertex_row_rejects_a_handed_edge_of_a_non_level_principal():
+    # ({a}, b) lengthens aabaB by 1, so no reverse edge can name it
+    w = "aabaB"
+    pc = pair_counts(w)
+    deltas = principal_deltas(*letter_tally(w), pc)
+    assert deltas == (1, 1, 0, 0)
+    with pytest.raises(TheoremViolation, match="an edge handed to .aabaB. names a principal not level on it"):
+        vertex_row(w, pc, deltas, {w: {1: "aabAb"}}, lambda c: False)
+
+
+def test_level_closure_canonicalizes_each_edge_once(monkeypatch):
+    """The wide path class of length 306 has 301 vertices joined by 300
+    pairs of inverse edges: its closure canonicalizes 300 images, one per
+    pair, not one per edge."""
+    calls = []
+    real = minimality._canonical
+    monkeypatch.setattr(minimality, "_canonical", lambda w: calls.append(w) or real(w))
+    g = build_graph("a" * 300 + "baBabb")
+    assert (len(g.vertices), len(g.edges), g.gtype) == (301, 600, "P1")
+    assert len(calls) == 300
 
 
 def test_level_closure_rejects_a_shortening_principal():
