@@ -11,12 +11,13 @@ in for inner automorphisms.  The canonical form modulo rotations and
 signed permutations (canonical_word) picks the lexicographically least
 rotation among all 8 permutation images, in the order a < b < A < B; it
 compares only the rotations that start with the word's longest run of one
-letter, sent to a.  _align is the one test of whether a word is a rotation
+letter, sent to a.  The search that finds the form also keeps the first
+permutation and the least rotation that reach it, so canonical_witness is
+that one search.  _align is the one test of whether a word is a rotation
 of a permutation image of another: it returns the first permutation and
-the least rotation that carry one onto the other, or None, and translates
-only the images the letter tallies allow.  It carries a word onto a
-canonical form already known, such as a vertex of a class graph, without
-searching for that form again.
+the least rotation that carry one onto the other, or None.  It carries a
+word onto a canonical form already known, such as a vertex of a class
+graph, without searching for that form again.
 
 apply_cyclic validates its input; _apply_cyclic is the same map on a
 cyclic word the caller has built, without the checks, as _canonical is
@@ -31,14 +32,12 @@ from functools import cached_property
 
 from .word_core import (
     LETTERS,
-    TheoremViolation,
     _matched_ends,
     check_cyclic_word,
     cyclic_reduce,
     free_reduce,
     inverse_letter,
     is_cyclic_word,
-    letter_tally,
     order_key,
 )
 
@@ -225,8 +224,7 @@ def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
     core = _shift_gaps(_shift_gaps(w[i:j], y, x, X, k), Y, X, x, k)
     h = -i if w[:1] == X else i  # exponents of the x-syllables before i and from j
     t = j - len(w) if w[-1] == X else len(w) - j
-    h, t = _cancel_ends(h - k * (w[i] == Y), t)
-    h, t = _cancel_ends(h, t + k * (w[j - 1] == y))
+    h, t = _cancel_ends(h - k * (w[i] == Y), t + k * (w[j - 1] == y))
     return (x * h or X * -h) + core + (x * t or X * -t)
 
 
@@ -291,63 +289,61 @@ def canonical_word(w: str) -> str:
     return _canonical(w)[0]
 
 
-def _canonical(w: str) -> tuple[str, int]:
-    """(canonical_word(w), i) of a cyclic word w the caller has built, without
-    the check: the form is a rotation of ALL_PERMUTATIONS[i](w).
+def _canonical(w: str) -> tuple[str, int, int]:
+    """(canonical_word(w), i, k) of a cyclic word w the caller has built,
+    without the check: rotate(ALL_PERMUTATIONS[i](w), k) is the form, i is
+    the least index whose image has the form as a rotation, and k that
+    image's least such rotation.
 
     The least rotation of all the images starts with a^r, where r is the
     longest run of one letter in w, since some permutation sends that letter
     to a.  So only the images sending a letter with a run of r to a are
-    translated, and only their rotations starting with a^r are compared.
+    translated, and only their rotations starting with a^r are compared;
+    every image that reaches the form is among them.
     """
     n, run = len(w), _longest_run(w)
     z = "0" * run
     end = n + run - 1  # matches of z in the doubled image start below n
     ww = w + w
-    best, index = None, 0
+    best, index, shift = None, 0, 0
     for c, to_a in _TABLES_TO_A.items():
         if c * run in ww:
             for j, table in to_a:
                 tt = ww.translate(table)
                 i = tt.find(z, 0, end)
                 while i != -1:
-                    if best is None or tt[i : i + n] < best:
-                        best, index = tt[i : i + n], j
+                    cand = tt[i : i + n]
+                    if best is None or cand < best or cand == best and j < index:
+                        best, index, shift = cand, j, i
                     i = tt.find(z, i + 1, end)
-    return (best or "").translate(_FROM_ORDER), index
+    return (best or "").translate(_FROM_ORDER), index, shift
 
 
 def canonical_witness(w: str) -> tuple[str, Permutation, int]:
     """(canonical, pi, k) with rotate(pi(w), k) == canonical.
 
     pi is the first permutation, in ALL_PERMUTATIONS order, whose image
-    reaches the canonical form, and k the least rotation that does.
+    reaches the canonical form, and k the least rotation that does; the
+    search that finds the form finds both.
     """
-    canonical = canonical_word(w)
-    if (found := _align(w, canonical)) is None:
-        raise TheoremViolation(f"no rotation of a permutation image of {w!r} is its canonical form")
-    return (canonical, *found)
+    check_cyclic_word(w)
+    canonical, i, k = _canonical(w)
+    return canonical, ALL_PERMUTATIONS[i], k
 
 
 def _align(u: str, v: str):
     """(pi, k) with rotate(pi(u), k) == v: the first such pi in
     ALL_PERMUTATIONS order, at its least k; None when v is not a rotation of
     a permutation image of u, that is, when their canonical forms differ.
-
-    Only the images that keep the letter types (when u's a-type tally is
-    v's) or swap them (when the two tallies add up to the length) are
-    translated.  Callers validate u and v.
+    Callers validate u and v.
     """
     if len(u) != len(v):
         return None
-    a_u, a_v = letter_tally(u)[0], letter_tally(v)[0]
-    keep, swap = a_u == a_v, a_u + a_v == len(u)
     key = order_key(v)
     for pi, table in zip(ALL_PERMUTATIONS, _ORDER_TABLES):
-        if keep if pi.image_of_a in "aA" else swap:
-            k = (u.translate(table) * 2).find(key)
-            if k != -1:
-                return pi, k
+        k = (u.translate(table) * 2).find(key)
+        if k != -1:
+            return pi, k
     return None
 
 

@@ -81,7 +81,6 @@ _ROOT_SHAPES = {
 }
 
 
-@lru_cache(maxsize=64)  # a census meets few path lengths
 def _path_shapes(k):
     """P1..P3 on the two-way path 0 - 1 - ... - (k-1), decorated at end 0:
     P2 adds a loop at 0, P3 a second arc 0 -> 1 (on one vertex, a second loop)."""

@@ -91,7 +91,7 @@ def principal_deltas(a_count: int, b_count: int, pc) -> tuple:
 def is_minimal(w: str) -> bool:
     """No automorphism shortens w: no principal has a negative length change."""
     check_cyclic_word(w)
-    return min(principal_deltas(*letter_tally(w), pair_counts(w))) >= 0
+    return _shrinking(w)[0] is None
 
 
 def _run_length(p: int, w: str, pc, deltas) -> int:
@@ -157,7 +157,8 @@ def _gaps(w: str, u: str) -> Counter:
 
 def _shrinking(w: str) -> tuple:
     """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
-    index p of the principal the greedy rule applies to w, or None."""
+    index p of the principal the greedy rule applies to w, or None.  is_minimal,
+    level_closure, _power_path and the greedy reduction read them here."""
     pc = pair_counts(w)
     deltas = principal_deltas(*letter_tally(w), pc)
     return next((q for q, delta in enumerate(deltas) if delta < 0), None), pc, deltas
@@ -219,7 +220,7 @@ def vertex_row(w: str, pc, deltas, reverse: dict, ahead) -> tuple:
             img = _apply_cyclic(phi, w)
             if len(img) != n:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
-            c, i = _canonical(img)  # img is reduced by construction
+            c, i, _ = _canonical(img)  # img is reduced by construction
             images[p] = c
             if c == w or ahead(c):
                 (images if c == w else reverse.setdefault(c, {})).setdefault(_REVERSE[p - 1][i], w)
@@ -239,9 +240,8 @@ def level_closure(start: str, known=None) -> list:
         done.add(u)
         row = known.get(u)
         if row is None:  # u must be minimal
-            pc = pair_counts(u)
-            deltas = principal_deltas(*letter_tally(u), pc)
-            if min(deltas) < 0:
+            p, pc, deltas = _shrinking(u)
+            if p is not None:
                 raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
             row = vertex_row(u, pc, deltas, reverse, lambda c: c not in done)
         rows.append(row)
@@ -333,7 +333,7 @@ def _power_path(canon_w: str, canon_v: str):
     f, g = _exponent_sums(canon_v)
     targets = {(s * f, t * g) for s in (1, -1) for t in (1, -1)}  # those of the 8 images of canon_v
     targets |= {(b, a) for a, b in targets}
-    deltas = principal_deltas(*letter_tally(canon_w), pair_counts(canon_w))
+    deltas = _shrinking(canon_w)[2]
     for phi, delta in zip(PRINCIPALS, deltas):
         y, x = phi.y, phi.x
         Y, X = inverse_letter(y), inverse_letter(x)

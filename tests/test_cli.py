@@ -14,7 +14,8 @@ from hypothesis import given
 
 import oracles as orc
 from conftest import cyclic_reduced_words
-from f2aut.class_graph import build_graph, from_json
+from f2aut import cli, enumeration
+from f2aut.class_graph import TheoremViolation, build_graph, from_json
 from f2aut.cli import PRINCIPAL_NAMES, _resolve_workers, main
 from f2aut.minimality import is_minimal
 
@@ -228,6 +229,38 @@ def test_enumerate_out_directory(capsys, tmp_path):
     scan_text = (tmp_path / "coincidence_scan.txt").read_text()
     assert all(line.endswith("0 counterexamples") for line in scan_text.splitlines())
     assert "conjecture report" in (tmp_path / "conjectures.txt").read_text()
+
+
+def test_enumerate_reports_a_coincidence_counterexample(capsys, tmp_path, monkeypatch):
+    """No real counterexample exists, so one is injected at aabb; with one
+    worker the shard runs in this process and reports it."""
+    failure = {"word": "aabb", "rule": "12=>34", "images": ["aabb", "aabb", "aabb", "abaB"]}
+    monkeypatch.setattr(enumeration, "_coincidences", lambda w: [failure] if w == "aabb" else [])
+    argv = ("enumerate", "--lengths", "3..4", "--scan-coincidences", "--workers", "1")
+    rc, out, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 0
+    assert (tmp_path / "coincidence_scan.txt").read_text().splitlines() == [
+        "n=3: 0 counterexamples",
+        "n=4: 1 counterexamples",
+        "  12=>34 at aabb: images ['aabb', 'aabb', 'aabb', 'abaB']",
+    ]
+    assert out.splitlines()[-2:] == [
+        "coincidence scan: 1 counterexamples",
+        "  n=4 12=>34 at aabb: images ['aabb', 'aabb', 'aabb', 'abaB']",
+    ]
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert json.loads(out)["coincidence_scan"] == {"3": [], "4": [failure]}
+
+
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TheoremViolation("injected")
+
+    monkeypatch.setattr(cli, "census", broken)
+    rc, out, err = run(capsys, "enumerate", "--lengths", "3", "--workers", "1")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal invariant violated:") and "injected" in err
 
 
 def test_enumerate_weight_filter(capsys, tmp_path):
