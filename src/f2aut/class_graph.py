@@ -157,15 +157,16 @@ def to_dict(g: ClassGraph) -> dict:
 
 def to_json(g: ClassGraph) -> str:
     """json.dumps(to_dict(g)), written directly."""
-    return _to_json(g, weight(g.vertices[0]))
+    return _to_json(g.gtype, weight(g.vertices[0]), g.is_root_class, g.has_alternating, g.vertices, g.edges)
 
 
-def _to_json(g: ClassGraph, wt: int) -> str:
-    """to_json(g) of a graph of weight wt: the census renders every class line with it."""
-    v, root, alternating = g.vertices, "true" if g.is_root_class else "false", "true" if g.has_alternating else "false"
-    vertices, edges = '", "'.join(v), ", ".join([f"[{i}, {j}, {p}]" for i, j, p in g.edges])
-    head = f'{{"length": {len(v[0])}, "type": "{g.gtype}", "size": {len(v)}, "weight": {wt}, "root": {root}'
-    return f'{head}, "alternating": {alternating}, "vertices": ["{vertices}"], "edges": [{edges}]}}'
+def _to_json(gtype: str, wt: int, root: bool, alternating: bool, vertices: tuple, edges: tuple) -> str:
+    """to_json of the graph with these fields and weight wt: the census
+    renders every class line with it, an edge-free word's with no ClassGraph."""
+    r, alt = "true" if root else "false", "true" if alternating else "false"
+    words, arcs = '", "'.join(vertices), ", ".join([f"[{i}, {j}, {p}]" for i, j, p in edges])
+    head = f'{{"length": {len(vertices[0])}, "type": "{gtype}", "size": {len(vertices)}, "weight": {wt}, "root": {r}'
+    return f'{head}, "alternating": {alt}, "vertices": ["{words}"], "edges": [{arcs}]}}'
 
 
 def from_json(text: str) -> ClassGraph:

@@ -10,7 +10,7 @@ Pipeline, per length n:
    signed permutation (see _shard_rows);
 2. at the last letter, add the wrap digraph and keep the word if it is
    minimal: principal_deltas of the counts has no negative entry.  Only
-   these words are built as strings;
+   these words are built as strings, with one translate;
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
@@ -22,12 +22,13 @@ Pipeline, per length n:
    hands the reverse of each level edge it canonicalizes to the row of a
    later word of the shard, so each edge is canonicalized once.  No row is
    built for an edge-free word, nor for enumerate_minimal;
-5. _shard_job counts each one-vertex class as the scan keeps its word and
-   closes the class of each stored row with no level image below it with
-   minimality.level_closure (computing only rows outside the shard), owns
-   it if its least vertex is the row, counts it by (type, weight, size,
-   root) and, if class output is wanted, renders its JSON line; under
-   coincidences it scans each word;
+5. _shard_job counts each one-vertex class as the scan keeps its word, an
+   edge-free one from its counts alone, and closes the class of each
+   stored row with no level image below it with minimality.level_closure
+   (computing only rows outside the shard), owns it if its least vertex is
+   the row, counts it by (type, weight, size, root) and, if class output
+   is wanted, renders its JSON line with class_graph._to_json, the one
+   writer; under coincidences it scans each word;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the vertices kept, and numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word).
@@ -61,6 +62,7 @@ from .minimality import level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, SubwordCounts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
+_WORD = bytes.maketrans(bytes(range(4)), LETTERS.encode())  # letter codes -> the word's bytes
 
 # Count increments (a-type letter, ab, aB) for appending code v after code u,
 # indexed 4 * u + v.  As in pair_counts, ab counts ab and BA, aB counts aB and bA.
@@ -80,8 +82,9 @@ _MAPS_TO_A = tuple(
 
 def _shard_rows(n: int, prefix: str, finish) -> tuple:
     """(rows, finished): finish(w, pc, deltas) gets each vertex w of length n
-    that starts with prefix, ascending, with its pair_counts and deltas;
-    rows[w] stores what it returns, or w counts in finished on None.
+    that starts with prefix, ascending, with its pair_counts (a plain tuple
+    if w is edge-free) and deltas; rows[w] stores what it returns, or w
+    counts in finished on None.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces: no adjacent inverse pair, and
@@ -159,11 +162,11 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
                 elif n % p_v == 0 and v != first ^ 2:  # a necklace, reduced across the wrap
                     _, dab, daB = _STEP[4 * v + first]  # the wrap digraph
                     ab_v, aB_v = ab_v + dab, aB_v + daB
-                    pc = SubwordCounts(tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)
+                    pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # SubwordCounts' fields
                     deltas = principal_deltas(tally_v, n - tally_v, pc)
                     if min(deltas) >= 0 and not any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
-                        w = "".join([LETTERS[c] for c in a[1:]])
-                        if (row := finish(w, pc, deltas)) is None:
+                        w = bytes(a[1:]).translate(_WORD).decode()
+                        if (row := finish(w, SubwordCounts._make(pc) if 0 in deltas else pc, deltas)) is None:
                             finished += 1
                         else:
                             rows[w] = row
@@ -178,29 +181,38 @@ def _shard_job(job) -> tuple:
 
     job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
     the scan keeps its word: edge-free (P1, as a root or alternating minimal
-    word has a level principal) or with loops only (level edges come in
-    inverse pairs).  The rows share one reverse table (see vertex_row).  A
-    stored row with no level image below it closes its class, computing
-    only rows outside the shard, and owns it if it is its least vertex.
-    With out, lines[size] lists its classes by least vertex, None for one
-    not of weight (if given).
+    word has a level principal, of the weight its deltas give, with no row
+    or graph) or with loops only (level edges come in inverse pairs).  The
+    rows share one reverse table (see vertex_row).  A stored row with no
+    level image below it closes its class, computing only rows outside the
+    shard, and owns it if it is its least vertex.  With out, lines[size]
+    lists its classes by least vertex, None for one not of weight (if
+    given).  With scan, each word is scanned after its row, if any.
     """
     n, prefix, out, wt, scan = job
     stats, lines, failures, reverse = Counter(), {}, [], {}
 
-    def count(g):
-        size, w_weight = len(g.vertices), weight(g.vertices[0])
-        stats[g.gtype, w_weight, size, g.is_root_class] += 1
+    def count(gtype, w_weight, root, alternating, vertices, edges):  # _to_json's fields
+        stats[gtype, w_weight, len(vertices), root] += 1
         if out:
-            lines.setdefault(size, []).append(_to_json(g, w_weight) if wt in (None, w_weight) else None)
+            line = _to_json(gtype, w_weight, root, alternating, vertices, edges) if wt in (None, w_weight) else None
+            lines.setdefault(len(vertices), []).append(line)
+
+    def count_graph(g):
+        count(g.gtype, weight(g.vertices[0]), g.is_root_class, g.has_alternating, g.vertices, g.edges)
 
     def finish(w, pc, deltas):  # w's row, or None when w's class has one vertex, counted here
-        failures.extend(_coincidences(w) if scan else ())
-        if 0 in deltas:  # the scan goes up, so the larger words of the shard are still to come
-            row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > order_key(w))
-            if any(c != w for _, c in row[1]):
-                return row
-        count(_assemble([row]) if 0 in deltas else ClassGraph((w,), (), False, False, "P1"))
+        if 0 not in deltas:
+            failures.extend(_coincidences(w, deltas) if scan else ())
+            tally = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
+            count("P1", min(tally, n - tally), False, False, (w,), ())
+            return None
+        key = order_key(w)  # the scan goes up, so the larger words of the shard are still to come
+        row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > key)
+        failures.extend(_coincidences(w, deltas, dict(row[1])) if scan else ())
+        if any(c != w for _, c in row[1]):
+            return row
+        count_graph(_assemble([row]))
         return None
 
     rows, finished = _shard_rows(n, prefix, finish)
@@ -211,7 +223,7 @@ def _shard_job(job) -> tuple:
             continue  # not the least vertex of its class
         g = _assemble(level_closure(w, rows))
         if g.vertices[0] == w:  # its least vertex owns it
-            count(g)
+            count_graph(g)
     return stats, len(rows) + finished, lines if out else None, failures if scan else None
 
 
@@ -561,13 +573,25 @@ _COINCIDENCE_RULES = (
 )
 
 
-def _coincidences(w: str) -> list:
-    """The counterexamples at one cyclic word w, in _COINCIDENCE_RULES order;
-    only the images a counterexample reports are canonicalized."""
-    images = [_apply_cyclic(phi, w) for phi in PRINCIPALS]
-    return [
-        {"word": w, "rule": rule, "images": [canonical_word(u) for u in images]}
-        for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES
-        if _align(images[h1], images[h2]) and not _align(images[c1], images[c2])
-    ]
+def _coincidences(w: str, deltas, level=()) -> list:
+    """The counterexamples at one cyclic word w with principal_deltas deltas,
+    in _COINCIDENCE_RULES order.  Two level images compare by their forms in
+    level (principal index -> canonical form, from w's row), any other two
+    of equal length by one _align; a counterexample's images are canonicalized."""
+    images = {}
 
+    def coincide(h, k):
+        if deltas[h] != deltas[k]:
+            return False
+        if h + 1 in level:
+            return level[h + 1] == level[k + 1]
+        for i in (h, k):
+            if i not in images:
+                images[i] = _apply_cyclic(PRINCIPALS[i], w)
+        return _align(images[h], images[k]) is not None
+
+    return [
+        {"word": w, "rule": rule, "images": [canonical_word(_apply_cyclic(phi, w)) for phi in PRINCIPALS]}
+        for rule, h1, h2, c1, c2 in _COINCIDENCE_RULES
+        if coincide(h1, h2) and not coincide(c1, c2)
+    ]

@@ -77,14 +77,16 @@ from .word_core import (
 def principal_deltas(a_count: int, b_count: int, pc) -> tuple:
     """Cyclic length change of a word under each principal, in PRINCIPALS order.
 
-    Takes the word's letter_tally and pair_counts.  As cyclic counts,
-    (y x^-1)_w is (aB) for ({a},b) and ({b},a), and (ab) for ({a},B) and ({b},A).
+    Takes the word's letter_tally and pair_counts, or any tuple of the same
+    fields.  As cyclic counts, (y x^-1)_w is (aB) for ({a},b) and ({b},a),
+    and (ab) for ({a},B) and ({b},A).
     """
+    _, _, ab, ab_bar = pc
     return (
-        a_count - 2 * pc.ab_bar,
-        a_count - 2 * pc.ab,
-        b_count - 2 * pc.ab_bar,
-        b_count - 2 * pc.ab,
+        a_count - 2 * ab_bar,
+        a_count - 2 * ab,
+        b_count - 2 * ab_bar,
+        b_count - 2 * ab,
     )
 
 

@@ -235,7 +235,7 @@ def test_enumerate_reports_a_coincidence_counterexample(capsys, tmp_path, monkey
     """No real counterexample exists, so one is injected at aabb; with one
     worker the shard runs in this process and reports it."""
     failure = {"word": "aabb", "rule": "12=>34", "images": ["aabb", "aabb", "aabb", "abaB"]}
-    monkeypatch.setattr(enumeration, "_coincidences", lambda w: [failure] if w == "aabb" else [])
+    monkeypatch.setattr(enumeration, "_coincidences", lambda w, *_: [failure] if w == "aabb" else [])
     argv = ("enumerate", "--lengths", "3..4", "--scan-coincidences", "--workers", "1")
     rc, out, _ = run(capsys, *argv, "--out", str(tmp_path))
     assert rc == 0

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import json
 import multiprocessing
 import os
 from collections import Counter
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, run_heavy_words
-from f2aut import canonical_word, enumeration, minimality
+from f2aut import canonical_word, class_graph, enumeration, minimality
 from f2aut.class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict
 from f2aut.enumeration import (
     GRAPH_TYPE_ORDER,
@@ -373,8 +374,12 @@ def test_a_row_dropped_from_a_shard_breaks_the_vertex_total(monkeypatch):
             census([9], workers=workers)
 
 
+def _deltas(w: str) -> tuple:
+    return principal_deltas(*letter_tally(w), pair_counts(w))
+
+
 def _edge_free(w: str) -> bool:
-    return 0 not in principal_deltas(*letter_tally(w), pair_counts(w))
+    return 0 not in _deltas(w)
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -395,10 +400,11 @@ def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypa
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
-    """At n = 12 no edge-free word gets a vertex_row, a level_closure or an
-    _assemble, also in the workers: calls are counted in shared memory,
-    (all calls, calls on an edge-free word) per function."""
-    counts = multiprocessing.Array("q", 6)
+    """At n = 12 no edge-free word gets a vertex_row, a level_closure, an
+    _assemble, a weight() call or a ClassGraph, also in the workers: calls
+    are counted in shared memory, (all calls, calls on an edge-free word)
+    per function."""
+    counts = multiprocessing.Array("q", 10)
 
     def counted(k, fn, words_of):
         def call(*args):
@@ -412,16 +418,33 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
     monkeypatch.setattr(enumeration, "vertex_row", counted(0, enumeration.vertex_row, lambda w, *_: [w]))
     monkeypatch.setattr(enumeration, "level_closure", counted(1, enumeration.level_closure, lambda w, *_: [w]))
     monkeypatch.setattr(enumeration, "_assemble", counted(2, enumeration._assemble, lambda rows: [r[0] for r in rows]))
+    monkeypatch.setattr(enumeration, "weight", counted(3, enumeration.weight, lambda w: [w]))
+    graph = counted(4, class_graph.ClassGraph, lambda vertices, *_: vertices)
+    for module in (enumeration, class_graph):  # _assemble builds each graph of the census
+        monkeypatch.setattr(module, "ClassGraph", graph)
     written = []
     tables = census([12], workers, lines=lambda n, lines: written.extend(lines))
     assert len(written) == tables.class_totals[12] == 2544
     calls, edge_free_calls = counts[0::2], counts[1::2]
-    assert edge_free_calls == [0, 0, 0]
+    assert edge_free_calls == [0, 0, 0, 0, 0]
     assert min(calls) > 0
     if workers == 1:
         # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
-        # 1,512 stored rows hold 549 heads, each closed and assembled once
-        assert calls == [92 + 1512, 549, 549 + 92]
+        # 1,512 stored rows hold 549 heads, each closed and assembled once,
+        # and own 468 classes; weight() reads each class that is not edge-free
+        assert calls == [92 + 1512, 549, 549 + 92, 2544 - 1984, 549 + 92]
+
+
+def test_class_lines_are_the_schema_of_their_first_vertex():
+    """Each raw classes_<n>.jsonl line for n <= 12, the edge-free lines
+    written from the scan's counts included, is json.dumps of the id and
+    the to_dict of build_graph of its first vertex."""
+    written = []
+    census(range(13), lines=lambda n, lines: written.extend(lines))
+    assert len(written) == 3976
+    for line in written:
+        d = json.loads(line)
+        assert line == json.dumps({"id": d["id"], **to_dict(build_graph(d["vertices"][0]))})
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -500,11 +523,16 @@ def test_repeated_lengths_are_enumerated_once():
     assert list(tables.class_stats) == [3]
 
 
-def test_weight_drops_lines_but_not_ids():
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("wt", range(6))
+def test_weight_drops_lines_but_not_ids(wt, workers):
+    """--weight keeps the lines of one weight, edge-free ones weighed from
+    the scan's tally, and the ids of the unrestricted census."""
     every, some = {}, {}
-    census([9], lines=lambda n, text: every.update({n: list(text)}))
-    census([9], workers=2, lines=lambda n, text: some.update({n: list(text)}), weight=3)
-    assert some[9] and some[9] == [line for line in every[9] if '"weight": 3,' in line]
+    census([10], lines=lambda n, text: every.update({n: list(text)}))
+    census([10], workers=workers, lines=lambda n, text: some.update({n: list(text)}), weight=wt)
+    assert some[10] == [line for line in every[10] if f'"weight": {wt},' in line]
+    assert bool(some[10]) == (wt != 1)  # length 10 has no class of weight 1
 
 
 def test_record_json_shape():
@@ -564,7 +592,13 @@ def test_conjecture_report_shape_and_small_range():
 
 @pytest.mark.parametrize("n", range(13))
 def test_no_principal_coincidence_failures(n):
-    assert [f for w in enumerate_minimal(n) for f in _coincidences(w)] == []
+    assert [f for w in enumerate_minimal(n) for f in _coincidences(w, _deltas(w))] == []
+
+
+def _level_forms(w: str) -> dict:
+    """The oracle's canonical forms of the level images of w, by principal index."""
+    deltas = _deltas(w)
+    return {p: orc.o_canonical(orc.o_apply_cyclic(d, w)) for p, d in enumerate(orc.PRINCIPAL_MAPS, 1) if not deltas[p - 1]}
 
 
 def _brute_force_scan(words):
@@ -583,8 +617,11 @@ def _brute_force_scan(words):
 @example(["aaBaBB", "aabAbABB", "abAB", ""])  # two counterexamples to 13=>24
 @example(orc.necklaces(6))  # non-minimal words break the implications
 def test_coincidence_scan_matches_brute_force(words):
-    scanned = [f for w in sorted(words, key=order_key) for f in _coincidences(w)]
-    assert scanned == _brute_force_scan(words)
+    """Also when the canonical forms of the level images are given, as the
+    shard job gives those of vertex_row."""
+    words = sorted(words, key=order_key)
+    assert [f for w in words for f in _coincidences(w, _deltas(w))] == _brute_force_scan(words)
+    assert [f for w in words for f in _coincidences(w, _deltas(w), _level_forms(w))] == _brute_force_scan(words)
 
 
 def test_class_record_is_frozen():
