@@ -26,7 +26,7 @@ for canonical_word.
 
 from __future__ import annotations
 
-import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +41,7 @@ from .word_core import (
     order_key,
 )
 
-_LETTER_SET = frozenset(LETTERS)  # membership; "x in LETTERS" would accept "", "ab", "bA"
+_LETTER_SET = frozenset(LETTERS)  # membership; "x in LETTERS" would accept "", "ab", "AB"
 
 
 @dataclass(frozen=True)
@@ -228,16 +228,37 @@ def _power_image(phi: OneLetterAut, w: str, k: int) -> str:
     return (x * h or X * -h) + core + (x * t or X * -t)
 
 
+def _moving_gaps(phi: OneLetterAut, w: str) -> Counter:
+    """Counter{(m, u, up): gaps}: the cyclic gaps between two consecutive
+    letters u of the cyclic word w that a step of phi = ({y}, x) moves.
+
+    (u, up) is (y, x) or (Y, X), and m is the exponent of up in the gap,
+    negative for a power of its inverse.  A gap moves when it holds no
+    y-type letter; by the rule of _power_image, k steps raise each m by k.
+    """
+    y, x = phi.y, phi.x
+    Y, X = inverse_letter(y), inverse_letter(x)
+    table = Counter()
+    for u, up, down, other in ((y, x, X, Y), (Y, X, x, y)):
+        i = w.find(u)
+        if i != -1:
+            for gap, count in Counter((w[i + 1 :] + w[:i]).split(u)).items():
+                if other not in gap:  # the split leaves no u, so no y-type letter at all
+                    table[-len(gap) if gap[:1] == down else len(gap), u, up] += count
+    return table
+
+
 def _shift_gaps(s: str, u: str, up: str, down: str, k: int) -> str:
     """Raise by k the exponent of up in every gap between two letters u of s."""
     pieces = s.split(u)
     if len(pieces) < 3:
         return s
     inner = pieces[1:-1]  # the pieces between two u's; only gaps of up's or down's move
-    shifted = {}
-    for gap in filter(re.compile(f"{up}*|{down}+").fullmatch, set(inner)):
-        e = k - len(gap) if gap[:1] == down else k + len(gap)
-        shifted[gap] = up * e or down * -e
+    other, shifted = inverse_letter(u), {}
+    for gap in set(inner):
+        if other not in gap:  # no y-type letter, as in _moving_gaps
+            e = k - len(gap) if gap[:1] == down else k + len(gap)
+            shifted[gap] = up * e or down * -e
     return u.join([pieces[0], *map(shifted.get, inner, inner), pieces[-1]])
 
 

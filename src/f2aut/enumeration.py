@@ -59,18 +59,14 @@ from .automorphism import (
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
 from .minimality import level_closure, principal_deltas, vertex_row
-from .word_core import LETTERS, SubwordCounts, inverse_letter, order_key, weight
+from .word_core import LETTERS, SubwordCounts, _ab_counts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _WORD = bytes.maketrans(bytes(range(4)), LETTERS.encode())  # letter codes -> the word's bytes
 
 # Count increments (a-type letter, ab, aB) for appending code v after code u,
-# indexed 4 * u + v.  As in pair_counts, ab counts ab and BA, aB counts aB and bA.
-_STEP = tuple(
-    (1 - (v & 1), int(x + y in ("ab", "BA")), int(x + y in ("aB", "bA")))
-    for x in LETTERS
-    for v, y in enumerate(LETTERS)
-)
+# indexed 4 * u + v; the digraph counts are those of pair_counts.
+_STEP = tuple((1 - (v & 1), *_ab_counts(x + y)) for x in LETTERS for v, y in enumerate(LETTERS))
 
 # code x -> the code maps (image code by code) of the signed permutations
 # other than the identity that send x to a

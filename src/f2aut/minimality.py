@@ -14,11 +14,13 @@ when (y x^-1)_w = (yx)_w + (yy)_w, for len(w) >= 2.
 The greedy reduction (minimize) applies the lowest-indexed principal that
 shrinks the word, and works one run of a principal at a time.  On a^k b
 pushed up by one principal the same principal repeats thousands of times.
-After j steps of ({y}, x) every delta is an affine function of j until an
-x-syllable between two y-type letters reaches 0, so _run_length finds
-where a run ends by division, and apply_cyclic takes the rest of the run
-as one power step in one pass over the word.  Only the words at run
-boundaries are kept.
+Two helpers state the rule of a run.  automorphism._moving_gaps tables
+the gaps x^m between two y's and X^m between two Y's, whose m each step
+of ({y}, x) raises by one; word_core._ab_counts says which digraphs count
+as (ab) and (a b^-1).  Every delta is affine in the number of steps until
+a gap empties or starts to fill, so _run_length finds where a run ends by
+division, and apply_cyclic takes the rest of the run as one power step in
+one pass over the word.  Only the words at run boundaries are kept.
 
 vertex_row is the one map from a vertex of a class graph to its level
 edges, and level_closure is the one way a class is found: it collects the
@@ -35,7 +37,7 @@ of k >= 2 steps is one token W[y,x]^k on either reduction leg.  So is a
 level run between the two minimal words: a path class can have n - 5
 vertices of length n, and q steps of one principal cross it.
 _power_path reads q off the exponent sums, checks the length of the
-image from its gap exponents and confirms it with one _align; any other
+image from the same gap table and confirms it with one _align; any other
 pair of minimal words is joined by the breadth-first path through the
 rows of level_closure.  Each step's image is aligned to the canonical
 vertex the path already holds, so only the two minimal words are
@@ -49,7 +51,6 @@ which skips apply_cyclic's checks on the cyclic words they have built.
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 from .automorphism import (
     OneLetterAut,
@@ -59,11 +60,13 @@ from .automorphism import (
     _align,
     _apply_cyclic,
     _canonical,
+    _moving_gaps,
     apply_cyclic,
     canonical_witness,
 )
 from .word_core import (
     TheoremViolation,
+    _ab_counts,
     check_cyclic_word,
     cyclic_reduce,
     inverse_letter,
@@ -100,61 +103,38 @@ def _run_length(p: int, w: str, pc, deltas) -> int:
     """How many greedy steps in a row apply PRINCIPALS[p] to w, without applying it.
 
     w has pair_counts pc and principal_deltas deltas, and the greedy rule
-    picks p on w.  Write phi = ({y}, x).  After j steps of phi the x-exponent
-    of the gap between two y's is e + j, between two Y's e - j, and between
-    a y and a Y still e (see _power_image).  Until the next gap reaches 0 or
-    leaves it, the (ab) and (a b^-1) counts stay put and the x-type tally
-    is affine in j, its slope phi's own delta, so every delta is affine in
-    j.  One such regime at a time, the first j at which phi stops shrinking
-    or a lower-indexed principal starts to is found by division.
+    picks p on w.  j steps of phi = PRINCIPALS[p] raise the exponent m of
+    each moving gap by j (see _moving_gaps), so the (ab) and (a b^-1) counts
+    change only at step -m, where a gap with m < 0 empties, and at the step
+    after (step 1 for an empty gap).  In between, phi's delta is constant
+    and is the slope of the x-type tally, the one phi changes, so every
+    delta is affine in j.  One such stretch at a time, the first j at which
+    phi stops shrinking or a lower-indexed principal starts to is found by
+    division.
     """
     phi = PRINCIPALS[p]
-    y, x = phi.y, phi.x
-    Y, X = inverse_letter(y), inverse_letter(x)
-    events = {}
-
-    def move(j, n, pair, slope=0):
-        # at step j, n gaps gain the two digraphs in pair (lose them if n < 0)
-        # and phi's delta rises by slope
-        ev = events.setdefault(j, [0, 0, 0])
-        ev[0] += n * sum(d in ("ab", "BA") for d in pair)
-        ev[1] += n * sum(d in ("aB", "bA") for d in pair)
-        ev[2] += slope
-
-    for u, up, down in ((y, x, X), (Y, X, x)):  # a step adds one up to each gap u...u
-        gaps = _gaps(w, u)
-        for gap in filter(re.compile(f"{down}*").fullmatch, gaps):
-            # a gap of down's empties at step len(gap), where phi stops
-            # shrinking it, and holds up's from the step after; so does an
-            # empty gap from step 1
-            if gap:
-                move(len(gap), -gaps[gap], (u + down, down + u), 2 * gaps[gap])
-            move(len(gap) + 1, gaps[gap], (u + up, up + u))
+    events = {}  # step -> [(u + g + u, n)]: n gaps gain the digraphs of u g u (lose them if n < 0)
+    for (m, u, up), count in _moving_gaps(phi, w).items():
+        if m < 0:
+            events.setdefault(-m, []).append((u + inverse_letter(up) + u, -count))
+        if m <= 0:
+            events.setdefault(1 - m, []).append((u + up + u, count))
     tallies = list(letter_tally(w))
-    xt = 1 if y == "a" else 0  # the x-type tally, the one phi changes
-    ab, ab_bar, slope = pc.ab, pc.ab_bar, deltas[p]
-    lo = 0
+    ab, ab_bar, d, lo = pc.ab, pc.ab_bar, deltas, 0
     for hi in [*sorted(events), None]:
-        d = principal_deltas(*tallies, pc._replace(ab=ab, ab_bar=ab_bar))
-        if d[p] != slope:
-            raise TheoremViolation(f"run of {phi} on {w!r}: delta {d[p]} at step {lo}, not {slope}")
         if d[p] >= 0 or min(d[:p], default=0) < 0:
             return lo
         # deltas over the x-type tally fall with it, the others hold
-        end = min((lo + d[q] // -slope + 1 for q in range(p) if q // 2 != p // 2), default=None)
+        end = min((lo + d[q] // -d[p] + 1 for q in range(p) if q // 2 != p // 2), default=None)
         if end is not None and (hi is None or end < hi):
             return end
         if hi is None:
             raise TheoremViolation(f"{phi} shortens {w!r} without end")
-        tallies[xt] += slope * (hi - lo)
-        ab, ab_bar, slope = ab + events[hi][0], ab_bar + events[hi][1], slope + events[hi][2]
-        lo = hi
-
-
-def _gaps(w: str, u: str) -> Counter:
-    """The cyclic gaps between two consecutive letters u of w, counted."""
-    i = w.find(u)
-    return Counter((w[i + 1 :] + w[:i]).split(u)) if i != -1 else Counter()
+        tallies[1 - p // 2] += d[p] * (hi - lo)  # the x-type tally
+        for digraphs, n in events[hi]:
+            dab, dab_bar = _ab_counts(digraphs)
+            ab, ab_bar = ab + n * dab, ab_bar + n * dab_bar
+        d, lo = principal_deltas(*tallies, (0, 0, ab, ab_bar)), hi
 
 
 def _shrinking(w: str) -> tuple:
@@ -295,12 +275,16 @@ def parse_token(text: str):
 
 
 def apply_token(item, w: str) -> str:
-    if isinstance(item, tuple):
-        return apply_cyclic(item[0], w, item[1])
+    """Apply one witness step to w: a run (OneLetterAut, k), a OneLetterAut,
+    a Permutation or an int rotation; ValueError on anything else."""
     if isinstance(item, OneLetterAut):
-        return apply_cyclic(item, w)
+        item = item, 1
+    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], OneLetterAut):
+        return apply_cyclic(item[0], w, item[1])
     if isinstance(item, Permutation):
         return item(w)
+    if type(item) is not int:  # a bool is an int, but not a rotation
+        raise ValueError(f"{item!r} is not a witness step")
     return rotate(w, item)
 
 
@@ -325,10 +309,10 @@ def _power_path(canon_w: str, canon_v: str):
     Write phi = ({y}, x) with y a generator.  A step adds the y-exponent sum
     e_y to the x-exponent sum and keeps every other exponent sum, so q is
     read off each signed-permutation image of canon_v's exponent sums whose
-    y-entry is e_y.  By the gap rule of _power_image, q steps add q to the
-    exponent of x in each gap y...y and of X in each gap Y...Y, and change
-    no other gap; so the length of the image is known before it is built,
-    and only an image of canon_w's length is built and aligned.
+    y-entry is e_y.  q steps raise the exponent m of each moving gap by q
+    and change no other gap (see _moving_gaps); so the length of the image
+    is known before it is built, and only an image of canon_w's length is
+    built and aligned.
     """
     n = len(canon_w)
     e = _exponent_sums(canon_w)
@@ -337,24 +321,17 @@ def _power_path(canon_w: str, canon_v: str):
     targets |= {(b, a) for a, b in targets}
     deltas = _shrinking(canon_w)[2]
     for phi, delta in zip(PRINCIPALS, deltas):
-        y, x = phi.y, phi.x
-        Y, X = inverse_letter(y), inverse_letter(x)
-        iy = "ab".index(y)
+        iy = "ab".index(phi.y)
         ix, ey = 1 - iy, e[iy]
         if delta or not ey:
             continue
-        sign = 1 if x in "ab" else -1  # a step adds sign * ey to e[ix]
+        sign = 1 if phi.x in "ab" else -1  # a step adds sign * ey to e[ix]
         steps = sorted(
             {sign * ((t[ix] - e[ix]) // ey) for t in targets if t[iy] == ey and (t[ix] - e[ix]) % ey == 0}
         )
-        moving = [  # (exponent of the letter a step adds, number of such gaps)
-            (-len(gap) if gap[:1] == down else len(gap), count)
-            for u, up, down in ((y, x, X), (Y, X, x))
-            for gap, count in _gaps(canon_w, u).items()
-            if re.fullmatch(f"{up}*|{down}+", gap)
-        ]
+        moving = _moving_gaps(phi, canon_w).items()
         for q in steps:
-            if 0 < q < n and sum(count * (abs(m + q) - abs(m)) for m, count in moving) == 0:
+            if 0 < q < n and sum(count * (abs(m + q) - abs(m)) for (m, _, _), count in moving) == 0:
                 if _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
                     return [((phi, q), canon_v)]
     return None

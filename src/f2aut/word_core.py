@@ -35,7 +35,7 @@ class SubwordCounts(NamedTuple):
     aa: int
     bb: int
     ab: int
-    ab_bar: int  # the pattern a b^-1, i.e. occurrences of "aB" and "bA"
+    ab_bar: int  # the pattern a b^-1 and its inverse; see _ab_counts
 
 
 def check_word(s: str) -> str:
@@ -153,21 +153,25 @@ def subword_count(w: str, u: str) -> int:
 def pair_counts(w: str) -> SubwordCounts:
     """The four 2-letter pattern counts of a cyclic word.
 
-    Digraphs of distinct letters cannot overlap, so str.count finds ab, BA,
-    aB and bA in w + w[0].  A run of a-type letters in a cyclic word is one
-    letter repeated: an a-run ends in ab or aB, an A-run starts with bA or
-    BA.  So the a-type runs number r = (ab) + (a b^-1), and (aa) = tally - r;
-    the b-type runs alternate with them, so (bb) = b tally - r.
+    The digraphs of a cyclic word are those of w + w[0] (see _ab_counts).
+    A run of a-type letters in a cyclic word is one letter repeated: an
+    a-run ends in ab or aB, an A-run starts with bA or BA.  So the a-type
+    runs number r = (ab) + (a b^-1), and (aa) = tally - r; the b-type runs
+    alternate with them, so (bb) = b tally - r.
     """
     n = len(w)
     if n < 2:
         return SubwordCounts(0, 0, 0, 0)
-    ext = w + w[0]
-    ab = ext.count("ab") + ext.count("BA")
-    ab_bar = ext.count("aB") + ext.count("bA")
+    ab, ab_bar = _ab_counts(w + w[0])
     a_count, b_count = letter_tally(w)
     runs = ab + ab_bar
     return SubwordCounts(a_count - runs, b_count - runs, ab, ab_bar)
+
+
+def _ab_counts(s: str) -> tuple[int, int]:
+    """((ab), (a b^-1)) over the digraphs of s: ab and BA, aB and bA.  Digraphs
+    of distinct letters cannot overlap, so str.count finds each one."""
+    return s.count("ab") + s.count("BA"), s.count("aB") + s.count("bA")
 
 
 def letter_tally(w: str) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """Permutations, multiplier automorphisms, canonical forms, and their identities."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from f2aut.automorphism import (
     _align,
     _canonical,
     _longest_run,
+    _moving_gaps,
     all_whitehead,
     apply_cyclic,
     apply_whitehead,
@@ -181,6 +183,42 @@ def test_power_step_examples_and_rejections():
             apply_cyclic(OneLetterAut("a", "b"), "ab", bad)
     with pytest.raises(ValueError):
         apply_cyclic(WhiteheadII(frozenset({"b"}), "a"), "ab", 2)
+
+
+def _raised(table: Counter, k: int) -> Counter:
+    """A gap table with every exponent m raised by k."""
+    return Counter({(m + k, u, up): count for (m, u, up), count in table.items()})
+
+
+def test_moving_gaps_examples():
+    # aaBBBab: the cyclic gaps a.a, a.BBB.a and a.b.a; no A, so no gap A...A
+    assert _moving_gaps(OneLetterAut("a", "b"), "aaBBBab") == Counter(
+        {(0, "a", "b"): 1, (-3, "a", "b"): 1, (1, "a", "b"): 1}
+    )
+    # aBAAbb: the gap A..A is empty; the one a...a, BAAbb, holds A's and does not move
+    assert _moving_gaps(OneLetterAut("a", "b"), "aBAAbb") == Counter({(0, "A", "B"): 1})
+    # abab under ({b}, a^-1): both gaps b.a.b hold one inverse of the letter a step adds
+    assert _moving_gaps(OneLetterAut("b", "A"), "abab") == Counter({(-1, "b", "A"): 2})
+    assert _moving_gaps(OneLetterAut("b", "A"), "aBab") == Counter()  # only the gaps b...B and B...b
+    assert _moving_gaps(OneLetterAut("a", "b"), "bb") == Counter()  # no y-type letter
+
+
+def test_moving_gaps_follow_the_power_step_exhaustively():
+    """k steps of a one-letter automorphism raise every exponent of its gap
+    table by k and change no count, for every cyclic word of length <= 7,
+    each of the 8 one-letter automorphisms and k <= 4."""
+    for n in range(8):
+        for w in orc.cyclic_words(n):
+            for phi in ALL_ONE_LETTER:
+                table = _moving_gaps(phi, w)
+                for k in range(1, 5):
+                    assert _moving_gaps(phi, apply_cyclic(phi, w, k)) == _raised(table, k), (w, phi, k)
+
+
+@given(one_letter_auts, run_heavy_words(), st.integers(1, 40))
+def test_moving_gaps_follow_the_power_step(phi, w, k):
+    """The same on words with long runs, where the gaps are long."""
+    assert _moving_gaps(phi, apply_cyclic(phi, w, k)) == _raised(_moving_gaps(phi, w), k)
 
 
 def test_tables_are_cached_translations_of_the_letter_images():

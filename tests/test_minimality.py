@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +151,26 @@ def test_run_length_matches_single_steps_exhaustively():
             assert _run_length(p, w, pc, deltas) == steps, w
 
 
+def test_run_length_matches_single_steps_on_staircases():
+    """Runs that cross many stops: a B a B^2 ... a B^m, m = 2..30, under each
+    signed permutation, where a run crosses up to 14 steps at which a gap
+    empties or starts to fill.  The words start runs of all four principals."""
+    started = Counter()
+    for m in range(2, 31):
+        stair = "".join("a" + "B" * i for i in range(1, m + 1))
+        for pi in ALL_PERMUTATIONS:
+            w = pi(stair)
+            p, pc, deltas = _shrinking(w)
+            assert p is not None, w
+            steps, cur = 0, w
+            while _shrinking(cur)[0] == p:
+                cur = apply_cyclic(PRINCIPALS[p], cur)
+                steps += 1
+            assert _run_length(p, w, pc, deltas) == steps, w
+            started[p] += 1
+    assert started == Counter({0: 60, 1: 60, 2: 56, 3: 56})
+
+
 def _same_as_single_steps(w):
     word, trace = minimize(w)
     assert (word, [format_token(phi) for phi in trace]) == orc.o_minimize(w)
@@ -247,8 +268,35 @@ def test_parse_token_rejects_malformed():
 def test_apply_token_semantics():
     assert apply_token(OneLetterAut("a", "b"), "aa") == "abab"
     assert apply_token((OneLetterAut("a", "b"), 2), "aa") == "abbabb"
+    assert apply_token((OneLetterAut("a", "b"), 1), "aa") == "abab"
     assert apply_token(Permutation("b", "a"), "aab") == "bba"
     assert apply_token(2, "aab") == "baa"
+    assert apply_token(-1, "aab") == "baa"
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        3.5,
+        None,
+        b"R[1]",
+        [1],
+        (),
+        (OneLetterAut("a", "b"),),
+        True,  # a bool is an int, but not a rotation
+        False,
+        (OneLetterAut("a", "b"), 2, 3),
+        (OneLetterAut("a", "b"), True),
+        (OneLetterAut("a", "b"), 2.0),
+        (Permutation("b", "a"), 1),  # only a one-letter automorphism has a power
+        ("W[a,b]", 2),
+    ],
+)
+def test_apply_token_rejects_what_is_not_a_step(item):
+    with pytest.raises(ValueError):
+        apply_token(item, "aab")
+    with pytest.raises(ValueError):
+        replay_witness("aab", [item])
 
 
 tokens = st.one_of(

@@ -49,6 +49,9 @@ BAD_CALLS = (
     'parse_token("R[1_0]")',
     'parse_token("R[\\u0663]")',  # an Arabic-Indic digit three
     'replay_witness("ab", ["R[\\u0661]"])',
+    'replay_witness("ab", [True])',  # a bool is not a rotation
+    'replay_witness("ab", [3.5])',
+    'replay_witness("ab", [(PRINCIPALS[0],)])',
     'parse_token("W[a,b]^1")',  # a power is written only from 2 on
     'parse_token("W[a,b]^0")',
     'parse_token("W[a,b]^x")',
