@@ -5,12 +5,14 @@ Pipeline, per length n:
 1. scan the cyclically reduced necklaces (least rotations) containing the
    letter a with Duval's recursion over letter codes, carrying the a-type
    tally, the digraph counts ab, aB and the non-identity signed
-   permutation images still tied with the prefix down the recursion, and
-   drop each subtree in which no completion can be minimal or least mod
-   signed permutation (see _shard_rows);
-2. at the last letter, add the wrap digraph and keep the word if it is
-   minimal: principal_deltas of the counts has no negative entry.  Only
-   these words are built as strings, with one translate;
+   permutation images still tied with the prefix down the recursion, read
+   each letter with its count increments off a table of the letters that
+   may follow the previous one, and drop each subtree in which no
+   completion can be minimal or least mod signed permutation (see
+   _shard_rows);
+2. the last letter's table adds the wrap digraph, so there the minimality
+   bound is exact and a necklace that passes it is minimal.  Only these
+   words are built as strings, with one translate;
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
@@ -64,9 +66,17 @@ from .word_core import LETTERS, SubwordCounts, _ab_counts, inverse_letter, order
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _WORD = bytes.maketrans(bytes(range(4)), LETTERS.encode())  # letter codes -> the word's bytes
 
-# Count increments (a-type letter, ab, aB) for appending code v after code u,
-# indexed 4 * u + v; the digraph counts are those of pair_counts.
-_STEP = tuple((1 - (v & 1), *_ab_counts(x + y)) for x in LETTERS for v, y in enumerate(LETTERS))
+
+def _steps(x: str, lo: int, z: str = "") -> tuple:
+    """(v, a-type letter, ab, aB) for each code v >= lo, ascending, that may
+    follow the letter x (and precede z, the first letter, if v is the last):
+    the count increments of placing v, with the digraphs of x v z."""
+    allowed = [(v, y) for v, y in enumerate(LETTERS) if v >= lo and inverse_letter(y) not in (x, z)]
+    return tuple((v, 1 - (v & 1), *_ab_counts(x + y + z)) for v, y in allowed)
+
+
+_NEXT = tuple(tuple(_steps(x, lo) for lo in range(4)) for x in LETTERS)  # [prev][lo]
+_LAST = tuple(tuple(tuple(_steps(x, lo, z) for z in LETTERS) for lo in range(4)) for x in LETTERS)  # [prev][lo][first]
 
 # code x -> the code maps (image code by code) of the signed permutations
 # other than the identity that send x to a
@@ -83,17 +93,18 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
     counts in finished on None.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
-    visits the cyclically reduced necklaces: no adjacent inverse pair, and
-    the wrap pair is checked with the last letter.  Killing a prefix with
-    an inverse pair removes only non-reduced completions, so the period
-    bookkeeping is unaffected.  The recursion carries the a-type tally and
-    the digraph counts ab, aB of the letters placed.  The branch that
-    places the last letter tests the necklace condition (n % p) and the
-    wrap pair, adds the wrap digraph and derives aa and bb as pair_counts
-    does.  Two rules drop a subtree early:
+    visits the cyclically reduced necklaces, reading each letter off
+    _NEXT[prev][lo], lo = a[t - p], and the last off _LAST[prev][lo][first]
+    (see _steps).  Killing a prefix with an inverse pair removes only
+    non-reduced completions, so the period bookkeeping is unaffected.  The
+    recursion adds up the a-type tally and the digraph counts ab, aB of the
+    letters placed, the wrap digraph with the last letter; aa and bb follow
+    as in pair_counts.  The last letter v gives a necklace unless v == lo
+    and p does not divide n.  Two rules drop a subtree early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
-      only grow, so principal_deltas goes negative on every completion;
+      only grow, so principal_deltas goes negative on every completion.
+      At the last letter this is exactly a negative principal_deltas;
     - a tied image falls below the prefix.  The b<->B image is tied at
       rotation 0, and once a run starting at s is as long as the leading
       a-run, each non-identity signed permutation m sending its letter to
@@ -129,10 +140,8 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
-        for v in (pre[t - 1],) if t <= forced else range(lo, 4):
-            if v < lo or v == prev ^ 2:
-                continue
-            dt, dab, daB = _STEP[4 * prev + v]
+        steps = _NEXT[prev][lo] if rem else _LAST[prev][lo][first]
+        for v, dt, dab, daB in steps if t > forced else [s for s in steps if s[0] == pre[t - 1]]:
             tally_v = tally + dt
             ab_v = ab + dab
             aB_v = aB + daB
@@ -152,15 +161,12 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
                 cap_v = t - 1 if cap == n and v else cap
                 if run_v == cap_v:  # a run as long as the leading one: its images to a start tied
                     tied_v += [(t - run_v + 1, m) for m in _MAPS_TO_A[v]]
-                p_v = p if v == lo else t
-                if t < n:
-                    rec(t + 1, p_v, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
-                elif n % p_v == 0 and v != first ^ 2:  # a necklace, reduced across the wrap
-                    _, dab, daB = _STEP[4 * v + first]  # the wrap digraph
-                    ab_v, aB_v = ab_v + dab, aB_v + daB
+                if rem:
+                    rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
+                elif v != lo or n % p == 0:  # a necklace; minimal, as the bound above is exact here
                     pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # SubwordCounts' fields
                     deltas = principal_deltas(tally_v, n - tally_v, pc)
-                    if min(deltas) >= 0 and not any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
+                    if not (tied_v and any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v)):
                         w = bytes(a[1:]).translate(_WORD).decode()
                         if (row := finish(w, SubwordCounts._make(pc) if 0 in deltas else pc, deltas)) is None:
                             finished += 1
@@ -177,8 +183,9 @@ def _shard_job(job) -> tuple:
 
     job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
     the scan keeps its word: edge-free (P1, as a root or alternating minimal
-    word has a level principal, of the weight its deltas give, with no row
-    or graph) or with loops only (level edges come in inverse pairs).  The
+    word has a level principal, of the weight W its deltas give, with no row
+    or graph; its line is heads[W] + w + tail, cut once per weight from
+    _to_json) or with loops only (level edges come in inverse pairs).  The
     rows share one reverse table (see vertex_row).  A stored row with no
     level image below it closes its class, computing only rows outside the
     shard, and owns it if it is its least vertex.  With out, lines[size]
@@ -187,21 +194,27 @@ def _shard_job(job) -> tuple:
     """
     n, prefix, out, wt, scan = job
     stats, lines, failures, reverse = Counter(), {}, [], {}
-
-    def count(gtype, w_weight, root, alternating, vertices, edges):  # _to_json's fields
-        stats[gtype, w_weight, len(vertices), root] += 1
-        if out:
-            line = _to_json(gtype, w_weight, root, alternating, vertices, edges) if wt in (None, w_weight) else None
-            lines.setdefault(len(vertices), []).append(line)
+    heads, tail = [], ""  # cut around a stand-in word from _to_json, the one writer
+    if out and n:  # no word is edge-free below n = 2, and "" would cut nothing
+        blank = "\0" * n
+        heads = [_to_json("P1", W, False, False, (blank,), ()).split(blank)[0] for W in range(n // 2 + 1)]
+        tail = _to_json("P1", 0, False, False, (blank,), ()).split(blank)[1]
 
     def count_graph(g):
-        count(g.gtype, weight(g.vertices[0]), g.is_root_class, g.has_alternating, g.vertices, g.edges)
+        w_weight = weight(g.vertices[0])
+        stats[g.gtype, w_weight, len(g.vertices), g.is_root_class] += 1
+        if out:
+            fields = (g.gtype, w_weight, g.is_root_class, g.has_alternating, g.vertices, g.edges)
+            lines.setdefault(len(g.vertices), []).append(_to_json(*fields) if wt in (None, w_weight) else None)
 
     def finish(w, pc, deltas):  # w's row, or None when w's class has one vertex, counted here
         if 0 not in deltas:
             failures.extend(_coincidences(w, deltas) if scan else ())
             tally = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
-            count("P1", min(tally, n - tally), False, False, (w,), ())
+            w_weight = min(tally, n - tally)
+            stats["P1", w_weight, 1, False] += 1
+            if out:
+                lines.setdefault(1, []).append(heads[w_weight] + w + tail if wt in (None, w_weight) else None)
             return None
         key = order_key(w)  # the scan goes up, so the larger words of the shard are still to come
         row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > key)

@@ -35,7 +35,7 @@ from f2aut.enumeration import (
     render_conjecture_report,
 )
 from f2aut.minimality import principal_deltas
-from f2aut.word_core import letter_tally, order_key, pair_counts, weight
+from f2aut.word_core import LETTERS, _ab_counts, letter_tally, order_key, pair_counts, weight
 
 # classes per type at small lengths, hand-tallied once and frozen
 SMALL_TYPE_COUNTS = {
@@ -136,6 +136,40 @@ def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
     kept = sum(len(_shard_words((12, p))) for p in _shard_prefixes(12))
     assert kept == 3588
     assert len(leaves) == 4071 <= 1.2 * kept
+
+
+def test_step_tables_follow_the_digraph_rule():
+    """_NEXT[u][lo] lists, in ascending order, each code v >= lo that may
+    follow u with its a-type letter and the ab, aB of the digraph u v;
+    _LAST[u][lo][f] drops v = f ^ 2 and adds the wrap digraph v f."""
+    for u, x in enumerate(LETTERS):
+        for lo in range(4):
+            allowed = [v for v in range(lo, 4) if v != u ^ 2]
+            assert enumeration._NEXT[u][lo] == tuple((v, 1 - v % 2, *_ab_counts(x + LETTERS[v])) for v in allowed)
+            for f, y in enumerate(LETTERS):
+                assert enumeration._LAST[u][lo][f] == tuple(
+                    (v, 1 - v % 2, *(i + j for i, j in zip(_ab_counts(x + LETTERS[v]), _ab_counts(LETTERS[v] + y))))
+                    for v in allowed
+                    if v != f ^ 2
+                )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_last_letter_prune_is_exact(monkeypatch, n):
+    """The bound checked as the last letter is placed, with the wrap digraph
+    in the counts, is the minimality test: every principal_deltas call of
+    the one-job shard and of each prefix shard has no negative entry."""
+    deltas = []
+
+    def recorded(*args):
+        deltas.append(real(*args))
+        return deltas[-1]
+
+    real = enumeration.principal_deltas
+    monkeypatch.setattr(enumeration, "principal_deltas", recorded)
+    for p in dict.fromkeys(["a", *_shard_prefixes(n)]):
+        _shard_words((n, p))
+    assert deltas and all(min(d) >= 0 for d in deltas)
 
 
 def test_edge_free_minimal_words_are_p1_singletons():
@@ -433,6 +467,24 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
         # 1,512 stored rows hold 549 heads, each closed and assembled once,
         # and own 468 classes; weight() reads each class that is not edge-free
         assert calls == [92 + 1512, 549, 549 + 92, 2544 - 1984, 549 + 92]
+
+
+def test_edge_free_lines_are_cut_from_one_template_per_weight(monkeypatch):
+    """At n = 12 on one worker the 1,984 edge-free lines make no _to_json
+    call of their own: _to_json writes the 560 other classes, 7 heads (one
+    per weight 0..6) and 1 tail."""
+    calls = []
+
+    def counted(*fields):
+        calls.append(fields)
+        return to_json_fields(*fields)
+
+    to_json_fields = enumeration._to_json
+    monkeypatch.setattr(enumeration, "_to_json", counted)
+    written = []
+    census([12], lines=lambda n, lines: written.extend(lines))
+    assert len(written) == 2544
+    assert len(calls) == 560 + 7 + 1
 
 
 def test_class_lines_are_the_schema_of_their_first_vertex():
