@@ -30,23 +30,30 @@ Pipeline, per length n:
    (computing only rows outside the shard), owns it if its least vertex is
    the row, counts it by (type, weight, size, root) and, if class output
    is wanted, renders its JSON line with class_graph._to_json, the one
-   writer; under coincidences it scans each word;
+   writer, or keeps an edge-free word's weight and word; under
+   coincidences it scans each word;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the vertices kept, and numbers the lines
-   n.1, n.2, ... by size, then shard order: ascending (size, least word).
+   n.1, n.2, ... by size, then shard order: ascending (size, least word),
+   putting each edge-free word into the line template of its weight.
    A ClassRecord, read back from a line, is that number and the graph.
 
 Shards are forced word prefixes, so the output is the same for any worker
-count.  With one worker each length is one job; with more, one pool takes
-the shards of every length, and the workers finish length n + 1 while the
-parent writes length n.
+count.  With one worker each length is one job.  With more, one pool takes
+every length: the largest is split into prefix shards, each smaller length
+is one job, and the workers finish length n + 1 while the parent writes
+length n.  A whole-length job repeats nothing, where shards canonicalize
+an edge between them from both ends and close classes over each other's
+rows, and the smaller lengths run beside the largest one's shards.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +83,7 @@ def _steps(x: str, lo: int, z: str = "") -> tuple:
 
 
 _NEXT = tuple(tuple(_steps(x, lo) for lo in range(4)) for x in LETTERS)  # [prev][lo]
-_LAST = tuple(tuple(tuple(_steps(x, lo, z) for z in LETTERS) for lo in range(4)) for x in LETTERS)  # [prev][lo][first]
+_LAST = tuple(tuple(_steps(x, lo, "a") for lo in range(4)) for x in LETTERS)  # [prev][lo]; every word starts with a
 
 # code x -> the code maps (image code by code) of the signed permutations
 # other than the identity that send x to a
@@ -90,17 +97,19 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
     """(rows, finished): finish(w, pc, deltas) gets each vertex w of length n
     that starts with prefix, ascending, with its pair_counts (a plain tuple
     if w is edge-free) and deltas; rows[w] stores what it returns, or w
-    counts in finished on None.
+    counts in finished on None.  Every prefix starts with a, as every
+    necklace that contains a does.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces, reading each letter off
-    _NEXT[prev][lo], lo = a[t - p], and the last off _LAST[prev][lo][first]
-    (see _steps).  Killing a prefix with an inverse pair removes only
-    non-reduced completions, so the period bookkeeping is unaffected.  The
-    recursion adds up the a-type tally and the digraph counts ab, aB of the
-    letters placed, the wrap digraph with the last letter; aa and bb follow
-    as in pair_counts.  The last letter v gives a necklace unless v == lo
-    and p does not divide n.  Two rules drop a subtree early:
+    _NEXT[prev][lo], lo = a[t - p], and the last off _LAST[prev][lo], whose
+    steps also precede the first letter, a (see _steps).  Killing a prefix
+    with an inverse pair removes only non-reduced completions, so the
+    period bookkeeping is unaffected.  The recursion adds up the a-type
+    tally and the digraph counts ab, aB of the letters placed, the wrap
+    digraph with the last letter; aa and bb follow as in pair_counts.  The
+    last letter v gives a necklace unless v == lo and p does not divide n.
+    Two rules drop a subtree early:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion.
@@ -128,8 +137,7 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
         return ({}, 1) if (row := finish("a" * n, SubwordCounts(0, 0, 0, 0), (n, n, 0, 0))) is None else ({"a" * n: row}, 0)
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
-    a = [0] * (n + 1)
-    a[1] = first = pre[0]
+    a = [0] * (n + 1)  # a[1] is a, as every prefix starts with a
     rows, finished = {}, 0
 
     def rec(t, p, tally, ab, aB, run, cap, tied):
@@ -140,7 +148,7 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
-        steps = _NEXT[prev][lo] if rem else _LAST[prev][lo][first]
+        steps = _NEXT[prev][lo] if rem else _LAST[prev][lo]
         for v, dt, dab, daB in steps if t > forced else [s for s in steps if s[0] == pre[t - 1]]:
             tally_v = tally + dt
             ab_v = ab + dab
@@ -173,7 +181,7 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
                         else:
                             rows[w] = row
 
-    rec(2, 1, 1 - (first & 1), 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
+    rec(2, 1, 1, 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
     return rows, finished
 
 
@@ -184,8 +192,8 @@ def _shard_job(job) -> tuple:
     job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
     the scan keeps its word: edge-free (P1, as a root or alternating minimal
     word has a level principal, of the weight W its deltas give, with no row
-    or graph; its line is heads[W] + w + tail, cut once per weight from
-    _to_json) or with loops only (level edges come in inverse pairs).  The
+    or graph; its entry in lines is chr(W) + w, which _numbered renders) or
+    with loops only (level edges come in inverse pairs).  The
     rows share one reverse table (see vertex_row).  A stored row with no
     level image below it closes its class, computing only rows outside the
     shard, and owns it if it is its least vertex.  With out, lines[size]
@@ -194,11 +202,6 @@ def _shard_job(job) -> tuple:
     """
     n, prefix, out, wt, scan = job
     stats, lines, failures, reverse = Counter(), {}, [], {}
-    heads, tail = [], ""  # cut around a stand-in word from _to_json, the one writer
-    if out and n:  # no word is edge-free below n = 2, and "" would cut nothing
-        blank = "\0" * n
-        heads = [_to_json("P1", W, False, False, (blank,), ()).split(blank)[0] for W in range(n // 2 + 1)]
-        tail = _to_json("P1", 0, False, False, (blank,), ()).split(blank)[1]
 
     def count_graph(g):
         w_weight = weight(g.vertices[0])
@@ -214,7 +217,7 @@ def _shard_job(job) -> tuple:
             w_weight = min(tally, n - tally)
             stats["P1", w_weight, 1, False] += 1
             if out:
-                lines.setdefault(1, []).append(heads[w_weight] + w + tail if wt in (None, w_weight) else None)
+                lines.setdefault(1, []).append(chr(w_weight) + w if wt in (None, w_weight) else None)
             return None
         key = order_key(w)  # the scan goes up, so the larger words of the shard are still to come
         row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > key)
@@ -260,24 +263,36 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be a {'positive' if least else 'nonnegative'} integer, got {value!r}")
 
 
+def _exit_on_interrupt(job, args):
+    """job(args) in a pool worker, which ends at once on Ctrl-C: a worker
+    that returned the interrupt would run its next queued job to the end."""
+    try:
+        return job(args)
+    except KeyboardInterrupt:
+        os._exit(130)  # 128 + SIGINT, as a shell reports a process ended by Ctrl-C
+
+
 def _shard_results(job, lengths, workers: int, *options):
     """Yield (n, [job((n, prefix, *options)) for each shard prefix]) for each
     distinct n in lengths, ascending; job is a module-level function.  With
-    one worker each length is one job, run here.  Else one process pool, of
-    no more workers than jobs, takes them in (n, prefix) order; on exit it
-    cancels the jobs not started and waits for the running ones, since a
-    worker killed while it sends a result leaves the result lock held.
+    one worker each length is one job, run here.  Else only the largest
+    length is split into _shard_prefixes shards, and each smaller one is
+    one job, which repeats no work of another: it runs beside the shards.
+    One process pool, of no more workers than jobs, takes them in
+    (n, prefix) order; on exit it cancels the jobs not started and waits
+    for the running ones, since a worker killed while it sends a result
+    leaves the result lock held.  A worker hit by Ctrl-C exits in its job.
     """
     lengths = list(lengths)
     _check_count("workers", workers, 1)
     for n in lengths:
         _check_count("length", n, 0)
     lengths = sorted(set(lengths))  # each length once
-    shards = {n: _shard_prefixes(n) if workers > 1 else ["a"] for n in lengths}
+    shards = {n: _shard_prefixes(n) if workers > 1 and n == lengths[-1] else ["a"] for n in lengths}
     jobs = [(n, prefix, *options) for n in lengths for prefix in shards[n]]
     pool = concurrent.futures.ProcessPoolExecutor(min(workers, len(jobs))) if len(jobs) > len(lengths) else None
     try:
-        results = pool.map(job, jobs) if pool else map(job, jobs)
+        results = pool.map(functools.partial(_exit_on_interrupt, job), jobs) if pool else map(job, jobs)
         for n in lengths:
             yield n, [next(results) for _ in shards[n]]
     finally:
@@ -323,14 +338,25 @@ def enumerate_classes(n: int, workers: int = 1) -> list:
 def _numbered(n: int, parts: list):
     """Yield the classes_<n>.jsonl lines from each shard's lines by size: by
     size, then in shard order, which is ascending (size, least vertex).  The
-    ids n.1, n.2, ... count every class, also one whose line is None."""
+    ids n.1, n.2, ... count every class, also one whose line is None.  An
+    edge-free class, chr(W) + w, gets the line heads[W] + w + tail, cut once
+    per weight from _to_json, so a job sends back only its weight and word."""
+    heads, tail = [], ""  # cut around a stand-in word from _to_json, the one writer
+    if n:  # no word is edge-free below n = 2, and "" would cut nothing
+        blank = "\0" * n
+        heads = [_to_json("P1", W, False, False, (blank,), ()).split(blank)[0][1:] for W in range(n // 2 + 1)]
+        tail = _to_json("P1", 0, False, False, (blank,), ()).split(blank)[1]
     k = 0
     for size in sorted({s for part in parts for s in part}):
         for part in parts:
             for line in part.get(size, ()):
                 k += 1
-                if line is not None:
+                if line is None:
+                    continue
+                if line[0] == "{":
                     yield f'{{"id": "{n}.{k}", {line[1:]}'
+                else:
+                    yield f'{{"id": "{n}.{k}", {heads[ord(line[0])]}{line[1:]}{tail}'
 
 
 @dataclass

@@ -1,12 +1,18 @@
 """Exhaustive enumeration, census tables, and conjecture reporting."""
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -141,17 +147,17 @@ def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
 def test_step_tables_follow_the_digraph_rule():
     """_NEXT[u][lo] lists, in ascending order, each code v >= lo that may
     follow u with its a-type letter and the ab, aB of the digraph u v;
-    _LAST[u][lo][f] drops v = f ^ 2 and adds the wrap digraph v f."""
+    _LAST[u][lo] drops v = A, the inverse of the first letter a, and adds
+    the wrap digraph v a."""
     for u, x in enumerate(LETTERS):
         for lo in range(4):
             allowed = [v for v in range(lo, 4) if v != u ^ 2]
             assert enumeration._NEXT[u][lo] == tuple((v, 1 - v % 2, *_ab_counts(x + LETTERS[v])) for v in allowed)
-            for f, y in enumerate(LETTERS):
-                assert enumeration._LAST[u][lo][f] == tuple(
-                    (v, 1 - v % 2, *(i + j for i, j in zip(_ab_counts(x + LETTERS[v]), _ab_counts(LETTERS[v] + y))))
-                    for v in allowed
-                    if v != f ^ 2
-                )
+            assert enumeration._LAST[u][lo] == tuple(
+                (v, 1 - v % 2, *(i + j for i, j in zip(_ab_counts(x + LETTERS[v]), _ab_counts(LETTERS[v] + "a"))))
+                for v in allowed
+                if v != 2
+            )
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -301,18 +307,18 @@ def test_census_streams_every_length_through_one_pool(monkeypatch):
 _scan_shard = enumeration._shard_job
 
 
-def _shard_job_failing_at_9(job):
-    if job[:2] == (9, "abab"):
+def _shard_job_failing_at_10(job):
+    if job[:2] == (10, "abab"):
         raise TheoremViolation("injected in a worker")
     return _scan_shard(job)
 
 
 def test_census_pool_is_torn_down_when_a_shard_fails(monkeypatch):
-    monkeypatch.setattr(enumeration, "_shard_job", _shard_job_failing_at_9)
+    monkeypatch.setattr(enumeration, "_shard_job", _shard_job_failing_at_10)
     seen = []
     with pytest.raises(TheoremViolation, match="injected in a worker"):
         census(range(11), workers=2, lines=lambda n, lines: seen.append(n))
-    assert seen == list(range(9))
+    assert seen == list(range(10))
     assert multiprocessing.active_children() == []
 
 
@@ -328,15 +334,49 @@ def test_census_pool_is_torn_down_when_the_caller_stops():
     assert str(caught.value) == "injected in the parent"
 
 
+def test_ctrl_c_ends_a_two_worker_run_at_once():
+    """SIGINT to the process group of a two-worker enumerate, sent while
+    its workers run the whole length 15, ends the run within 2 s and leaves
+    no process in the group: a worker exits in its job instead of running
+    the next queued one, the whole length 16 (about 5 s), to the end."""
+    src = Path(enumeration.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "f2aut.cli", "enumerate", "--lengths", "15..17", "--workers", "2"]
+    proc = subprocess.Popen(argv, env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        time.sleep(1)
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=2) == -signal.SIGINT
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_ctrl_c_in_a_one_worker_run_propagates(monkeypatch):
+    def interrupted(job):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enumeration, "_shard_job", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        census(range(11))
+
+
 class _SerialPool:
-    """Stands in for concurrent.futures.ProcessPoolExecutor: records its size, starts no process."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor: records its
+    size and the jobs it is given, starts no process."""
 
     sizes = []
+    jobs = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
 
     def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.jobs.extend(jobs)
         return map(fn, jobs)
 
     def shutdown(self, cancel_futures=False):
@@ -349,6 +389,22 @@ def test_pool_has_no_more_workers_than_shards(monkeypatch):
     records = enumerate_classes(8, workers=5000)
     assert _SerialPool.sizes == [len(enumeration._shard_prefixes(8))]
     assert records == enumerate_classes(8, 1)
+
+
+def test_only_the_largest_length_is_split_into_shards(monkeypatch):
+    """With two workers each length below the largest is one job, and the
+    pool takes them in ascending (length, prefix) order, then the largest
+    length's shards; the lines are the one-worker lines."""
+    one, two = {}, {}
+    census(range(11), lines=lambda n, lines: one.update({n: list(lines)}))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
+    census(range(11), workers=2, lines=lambda n, lines: two.update({n: list(lines)}))
+    assert _SerialPool.sizes == [2]
+    options = (True, None, False)
+    assert _SerialPool.jobs == [(n, "a", *options) for n in range(10)] + [(10, p, *options) for p in _shard_prefixes(10)]
+    assert two == one
 
 
 @pytest.mark.parametrize("n, count", ((8, 14), (18, 41)))
@@ -485,6 +541,20 @@ def test_edge_free_lines_are_cut_from_one_template_per_weight(monkeypatch):
     census([12], lines=lambda n, lines: written.extend(lines))
     assert len(written) == 2544
     assert len(calls) == 560 + 7 + 1
+
+
+def test_a_job_passes_an_edge_free_class_on_as_its_weight_and_word():
+    """A job's result holds chr(W) + w for each edge-free class, 1,984 of
+    the 2,544 at n = 12, and a rendered line for every other class: the
+    parent fills in the templates, so a worker sends back the word, not
+    its line."""
+    entries = _shard_job((12, "a", True, None, False))[2]
+    words = [e for size in entries.values() for e in size if not e.startswith("{")]
+    assert len(words) == 1984
+    assert sum(map(len, entries.values())) == 2544
+    for e in words:
+        w = e[1:]
+        assert _edge_free(w) and e == chr(weight(w)) + w
 
 
 def test_class_lines_are_the_schema_of_their_first_vertex():
