@@ -8,8 +8,8 @@ Pipeline, per length n:
    permutation images still tied with the prefix down the recursion, read
    each letter with its count increments off a table of the letters that
    may follow the previous one, and drop each subtree in which no
-   completion can be minimal or least mod signed permutation (see
-   _shard_rows);
+   completion can be minimal or least mod signed permutation.  The scan
+   hands each word it keeps to a visitor and stores nothing (_shard_rows);
 2. the last letter's table adds the wrap digraph, so there the minimality
    bound is exact and a necklace that passes it is minimal.  Only these
    words are built as strings, with one translate;
@@ -20,20 +20,20 @@ Pipeline, per length n:
    0), drops the subtree of any that falls below, and finishes the images
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
-4. _shard_job builds the rows with minimality.vertex_row, ascending: a row
-   hands the reverse of each level edge it canonicalizes to the row of a
-   later word of the shard, so each edge is canonicalized once.  No row is
-   built for an edge-free word, nor for enumerate_minimal;
-5. _shard_job counts each one-vertex class as the scan keeps its word, an
-   edge-free one from its counts alone, and closes the class of each
-   stored row with no level image below it with minimality.level_closure
-   (computing only rows outside the shard), owns it if its least vertex is
-   the row, counts it by (type, weight, size, root) and, if class output
-   is wanted, renders its JSON line with class_graph._to_json, the one
-   writer, or keeps an edge-free word's weight and word; under
-   coincidences it scans each word;
+4. _shard_job's visitor builds the rows with minimality.vertex_row,
+   ascending: a row hands the reverse of each level edge it canonicalizes
+   to the row of a later word of the shard, so each edge is canonicalized
+   once.  No row is built for an edge-free word, nor for enumerate_minimal;
+5. the visitor counts each one-vertex class as the scan hands over its
+   word, an edge-free one from its counts alone, and stores the other
+   rows; _shard_job closes the class of each with no level image below it
+   with minimality.level_closure (computing only rows outside the shard),
+   owns it if its least vertex is the row, counts it by (type, weight,
+   size, root) and, if class output is wanted, renders its JSON line with
+   class_graph._to_json, the one writer, or keeps an edge-free word's
+   weight and word; under coincidences it scans each word;
 6. census adds the shard counts into class_stats, its one table, checks
-   that the class sizes add up to the vertices kept, and numbers the lines
+   that the class sizes add up to the words handed on, numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word),
    putting each edge-free word into the line template of its weight.
    A ClassRecord, read back from a line, is that number and the graph.
@@ -68,7 +68,7 @@ from .automorphism import (
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
 from .minimality import level_closure, principal_deltas, vertex_row
-from .word_core import LETTERS, SubwordCounts, _ab_counts, inverse_letter, order_key, weight
+from .word_core import LETTERS, _ab_counts, inverse_letter, order_key, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _WORD = bytes.maketrans(bytes(range(4)), LETTERS.encode())  # letter codes -> the word's bytes
@@ -93,11 +93,11 @@ _MAPS_TO_A = tuple(
 )
 
 
-def _shard_rows(n: int, prefix: str, finish) -> tuple:
-    """(rows, finished): finish(w, pc, deltas) gets each vertex w of length n
-    that starts with prefix, ascending, with its pair_counts (a plain tuple
-    if w is edge-free) and deltas; rows[w] stores what it returns, or w
-    counts in finished on None.  Every prefix starts with a, as every
+def _shard_rows(n: int, prefix: str, visit) -> int:
+    """Call visit(w, pc, deltas) for each vertex w of length n that starts
+    with prefix, ascending, with its pair_counts fields as a plain tuple and
+    its principal_deltas; return how many words it handed on, which census
+    checks against the class sizes.  Every prefix starts with a, as every
     necklace that contains a does.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
@@ -134,17 +134,18 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
     the last letter starts images that only the wrap finishes.
     """
     if n < 2:  # "" or "a": one vertex, of principal_deltas (n, n, 0, 0), whose level images are itself
-        return ({}, 1) if (row := finish("a" * n, SubwordCounts(0, 0, 0, 0), (n, n, 0, 0))) is None else ({"a" * n: row}, 0)
+        visit("a" * n, (0, 0, 0, 0), (n, n, 0, 0))
+        return 1
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)  # a[1] is a, as every prefix starts with a
-    rows, finished = {}, 0
+    kept = 0
 
     def rec(t, p, tally, ab, aB, run, cap, tied):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
         # leading a-run, or n while every letter placed is an a; tied lists the
         # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
-        nonlocal finished
+        nonlocal kept
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
@@ -172,36 +173,34 @@ def _shard_rows(n: int, prefix: str, finish) -> tuple:
                 if rem:
                     rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
                 elif v != lo or n % p == 0:  # a necklace; minimal, as the bound above is exact here
-                    pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # SubwordCounts' fields
+                    pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # (aa, bb, ab, aB)
                     deltas = principal_deltas(tally_v, n - tally_v, pc)
                     if not (tied_v and any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v)):
-                        w = bytes(a[1:]).translate(_WORD).decode()
-                        if (row := finish(w, SubwordCounts._make(pc) if 0 in deltas else pc, deltas)) is None:
-                            finished += 1
-                        else:
-                            rows[w] = row
+                        visit(bytes(a[1:]).translate(_WORD).decode(), pc, deltas)
+                        kept += 1
 
     rec(2, 1, 1, 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
-    return rows, finished
+    return kept
 
 
 def _shard_job(job) -> tuple:
     """One shard, finished: (class_stats Counter of the classes it owns,
-    vertices kept, their to_json lines by size or None, coincidence failures).
+    words the scan handed on, their to_json lines by size, coincidence failures).
 
-    job is (n, prefix, out, weight, scan).  A one-vertex class is counted as
-    the scan keeps its word: edge-free (P1, as a root or alternating minimal
-    word has a level principal, of the weight W its deltas give, with no row
-    or graph; its entry in lines is chr(W) + w, which _numbered renders) or
-    with loops only (level edges come in inverse pairs).  The
-    rows share one reverse table (see vertex_row).  A stored row with no
-    level image below it closes its class, computing only rows outside the
-    shard, and owns it if it is its least vertex.  With out, lines[size]
-    lists its classes by least vertex, None for one not of weight (if
-    given).  With scan, each word is scanned after its row, if any.
+    job is (n, prefix, out, weight, scan).  finish counts a one-vertex class
+    as the scan hands over its word: edge-free (P1, as a root or alternating
+    minimal word has a level principal, of the weight W its deltas give,
+    with no row or graph; its entry in lines is chr(W) + w, which _numbered
+    renders) or with loops only (level edges come in inverse pairs), and
+    stores the other rows, which share one reverse table (see vertex_row).
+    A stored row with no level image below it closes its class, computing
+    only rows outside the shard, and owns it if it is its least vertex.
+    With out, lines[size] lists its classes by least vertex, None for one
+    not of weight (if given).  With scan, each word is scanned after its
+    row, if any.
     """
     n, prefix, out, wt, scan = job
-    stats, lines, failures, reverse = Counter(), {}, [], {}
+    stats, lines, failures, reverse, rows = Counter(), {}, [], {}, {}
 
     def count_graph(g):
         w_weight = weight(g.vertices[0])
@@ -210,7 +209,7 @@ def _shard_job(job) -> tuple:
             fields = (g.gtype, w_weight, g.is_root_class, g.has_alternating, g.vertices, g.edges)
             lines.setdefault(len(g.vertices), []).append(_to_json(*fields) if wt in (None, w_weight) else None)
 
-    def finish(w, pc, deltas):  # w's row, or None when w's class has one vertex, counted here
+    def finish(w, pc, deltas):  # stores w's row, or counts w's class here if it has one vertex
         if 0 not in deltas:
             failures.extend(_coincidences(w, deltas) if scan else ())
             tally = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
@@ -218,16 +217,16 @@ def _shard_job(job) -> tuple:
             stats["P1", w_weight, 1, False] += 1
             if out:
                 lines.setdefault(1, []).append(chr(w_weight) + w if wt in (None, w_weight) else None)
-            return None
+            return
         key = order_key(w)  # the scan goes up, so the larger words of the shard are still to come
         row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > key)
         failures.extend(_coincidences(w, deltas, dict(row[1])) if scan else ())
         if any(c != w for _, c in row[1]):
-            return row
-        count_graph(_assemble([row]))
-        return None
+            rows[w] = row
+        else:
+            count_graph(_assemble([row]))
 
-    rows, finished = _shard_rows(n, prefix, finish)
+    kept = _shard_rows(n, prefix, finish)
     if reverse:
         raise TheoremViolation(f"length {n}, shard {prefix!r}: no row took the level edges handed to {sorted(reverse)}")
     for w, (_, images, _, _) in rows.items():
@@ -236,12 +235,14 @@ def _shard_job(job) -> tuple:
         g = _assemble(level_closure(w, rows))
         if g.vertices[0] == w:  # its least vertex owns it
             count_graph(g)
-    return stats, len(rows) + finished, lines if out else None, failures if scan else None
+    return stats, kept, lines, failures
 
 
 def _shard_words(job) -> list:
     """The vertices of one shard (n, prefix), in ascending order; no row is built."""
-    return list(_shard_rows(*job, lambda w, pc, deltas: w)[0])
+    words = []
+    _shard_rows(*job, lambda w, pc, deltas: words.append(w))
+    return words
 
 
 def _shard_prefixes(n: int) -> list:

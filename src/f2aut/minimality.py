@@ -17,10 +17,11 @@ pushed up by one principal the same principal repeats thousands of times.
 Two helpers state the rule of a run.  automorphism._moving_gaps tables
 the gaps x^m between two y's and X^m between two Y's, whose m each step
 of ({y}, x) raises by one; word_core._ab_counts says which digraphs count
-as (ab) and (a b^-1).  Every delta is affine in the number of steps until
-a gap empties or starts to fill, so _run_length finds where a run ends by
-division, and apply_cyclic takes the rest of the run as one power step in
-one pass over the word.  Only the words at run boundaries are kept.
+as (ab) and (a b^-1).  Between two steps at which a gap empties, every
+delta that decides a run's end is affine in the number of steps, so
+_run_length finds where a run ends by division, and apply_cyclic takes
+the rest of the run as one power step in one pass over the word.  Only
+the words at run boundaries are kept.
 
 vertex_row is the one map from a vertex of a class graph to its level
 edges, and level_closure is the one way a class is found: it collects the
@@ -99,28 +100,32 @@ def is_minimal(w: str) -> bool:
     return _shrinking(w)[0] is None
 
 
-def _run_length(p: int, w: str, pc, deltas) -> int:
+def _run_length(p: int, w: str, pc, d) -> int:
     """How many greedy steps in a row apply PRINCIPALS[p] to w, without applying it.
 
-    w has pair_counts pc and principal_deltas deltas, and the greedy rule
-    picks p on w.  j steps of phi = PRINCIPALS[p] raise the exponent m of
-    each moving gap by j (see _moving_gaps), so the (ab) and (a b^-1) counts
-    change only at step -m, where a gap with m < 0 empties, and at the step
-    after (step 1 for an empty gap).  In between, phi's delta is constant
-    and is the slope of the x-type tally, the one phi changes, so every
-    delta is affine in j.  One such stretch at a time, the first j at which
-    phi stops shrinking or a lower-indexed principal starts to is found by
-    division.
+    w has pair_counts pc and principal_deltas d, and the greedy rule picks
+    p on w, so d[p] < 0.  j steps of phi = PRINCIPALS[p] = ({y}, x) raise
+    the exponent m of each moving gap u up^m u by j (see _moving_gaps).  A
+    gap with m < 0 empties at step -m and loses the digraphs of u up^-1 u,
+    which count in (y x^-1), the count d[p] and d[p ^ 2] subtract; these
+    are the events.  At the step after (step 1 for an empty gap) it starts
+    to fill and gains those of u up u, which count only in (yx), the count
+    d[p ^ 1] and d[p ^ 3] subtract.  As (yy) is the y-type tally less
+    (ab) + (a b^-1) (see pair_counts), d[p] + d[p ^ 1] = 2 (yy) and
+    d[p] + d[p ^ 3] = (aa) + (bb), so both stay positive while phi shrinks
+    the word; read too high without the gains, they still decide nothing.
+    Between two events phi's delta is constant and is the slope of the
+    x-type tally, the one phi changes, so every delta read here is affine
+    in j.  One such stretch at a time, the first j at which phi stops
+    shrinking or a lower-indexed principal starts to is found by division.
     """
     phi = PRINCIPALS[p]
-    events = {}  # step -> [(u + g + u, n)]: n gaps gain the digraphs of u g u (lose them if n < 0)
+    events = {}  # step -> [(u + g + u, n)]: n gaps lose the digraphs of u g u
     for (m, u, up), count in _moving_gaps(phi, w).items():
         if m < 0:
-            events.setdefault(-m, []).append((u + inverse_letter(up) + u, -count))
-        if m <= 0:
-            events.setdefault(1 - m, []).append((u + up + u, count))
+            events.setdefault(-m, []).append((u + inverse_letter(up) + u, count))
     tallies = list(letter_tally(w))
-    ab, ab_bar, d, lo = pc.ab, pc.ab_bar, deltas, 0
+    ab, ab_bar, lo = pc.ab, pc.ab_bar, 0
     for hi in [*sorted(events), None]:
         if d[p] >= 0 or min(d[:p], default=0) < 0:
             return lo
@@ -133,7 +138,7 @@ def _run_length(p: int, w: str, pc, deltas) -> int:
         tallies[1 - p // 2] += d[p] * (hi - lo)  # the x-type tally
         for digraphs, n in events[hi]:
             dab, dab_bar = _ab_counts(digraphs)
-            ab, ab_bar = ab + n * dab, ab_bar + n * dab_bar
+            ab, ab_bar = ab - n * dab, ab_bar - n * dab_bar
         d, lo = principal_deltas(*tallies, (0, 0, ab, ab_bar)), hi
 
 

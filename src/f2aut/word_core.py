@@ -187,7 +187,8 @@ def weight(w: str) -> int:
 
 
 def vertex_flags(n: int, pc) -> tuple[bool, bool]:
-    """(is_root, is_alternating) of a cyclic word of length n with pair_counts pc.
+    """(is_root, is_alternating) of a cyclic word of length n with pair_counts
+    pc, or any 4-tuple of the same fields in the same order.
 
     A root is the boundary case of minimality, |(ab) - (a b^-1)| = (aa) = (bb);
     an alternating word has no generator square.  A single letter is
@@ -197,5 +198,6 @@ def vertex_flags(n: int, pc) -> tuple[bool, bool]:
     """
     if n == 1:
         return False, False
-    return abs(pc.ab - pc.ab_bar) == pc.aa == pc.bb, pc.aa == pc.bb == 0
+    aa, bb, ab, ab_bar = pc
+    return abs(ab - ab_bar) == aa == bb, aa == bb == 0
 

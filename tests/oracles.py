@@ -6,7 +6,9 @@ Agreement between these functions and the library is what the tests check,
 so keep the two code bases strictly separate.
 """
 
+from collections import Counter
 from itertools import groupby, permutations, product
+from math import gcd
 
 ALPHABET = "abAB"
 INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -219,6 +221,50 @@ def necklaces(n: int, prefix: str = "") -> list:
         if o_least_rotation(w) == w:
             out.append(w)
     return sorted(out)
+
+
+def o_minimal_strings(d: int) -> dict:
+    """{t: M(d, t)}: the cyclically reduced words of length d >= 1 with t
+    a-type letters that are minimal, counted as strings (each rotation on
+    its own).  A transfer-matrix count over (first letter, last letter,
+    tally, (ab), (aB)), each count taken over the pattern and its inverse;
+    the wrap digraph is added at the end.  ({y}, x) changes the cyclic
+    length by (y) - 2 (y x^-1), so the word is minimal when neither
+    generator's tally is below 2 max((ab), (aB))."""
+    def digraph(u, v):  # increments of ((ab), (aB)) for the digraph u v
+        return int(u + v in ("ab", "BA")), int(u + v in ("aB", "bA"))
+
+    states = Counter({(c, c, int(c in "aA"), 0, 0): 1 for c in ALPHABET})
+    for _ in range(d - 1):
+        grown = Counter()
+        for (first, last, t, ab, ab_bar), count in states.items():
+            for c in ALPHABET:
+                if c != INV[last]:
+                    dab, dab_bar = digraph(last, c)
+                    grown[first, c, t + (c in "aA"), ab + dab, ab_bar + dab_bar] += count
+        states = grown
+    minimal = Counter()
+    for (first, last, t, ab, ab_bar), count in states.items():
+        dab, dab_bar = digraph(last, first)
+        if last != INV[first] and 2 * max(ab + dab, ab_bar + dab_bar) <= min(t, d - t):
+            minimal[t] += count
+    return minimal
+
+
+def o_burnside_sums(n: int) -> Counter:
+    """{W: n times the number of minimal necklaces of length n >= 1 and
+    weight W}, by Burnside's lemma over the n rotations.  A word fixed by
+    rotation r is its prefix of length g = gcd(n, r) repeated n/g times,
+    and the repeat is cyclically reduced and minimal exactly when the
+    prefix is, with its tally scaled by n/g."""
+    by_period = {g: o_minimal_strings(g) for g in {gcd(n, r) for r in range(n)}}
+    sums = Counter()
+    for r in range(n):
+        g = gcd(n, r)
+        for t, count in by_period[g].items():
+            tally = t * n // g
+            sums[min(tally, n - tally)] += count
+    return sums
 
 
 def orbit_components(max_len: int, cap: int) -> dict:

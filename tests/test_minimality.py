@@ -154,7 +154,8 @@ def test_run_length_matches_single_steps_exhaustively():
 def test_run_length_matches_single_steps_on_staircases():
     """Runs that cross many stops: a B a B^2 ... a B^m, m = 2..30, under each
     signed permutation, where a run crosses up to 14 steps at which a gap
-    empties or starts to fill.  The words start runs of all four principals."""
+    empties and as many at which one starts to fill, which _run_length reads
+    past.  The words start runs of all four principals."""
     started = Counter()
     for m in range(2, 31):
         stair = "".join("a" + "B" * i for i in range(1, m + 1))
@@ -169,6 +170,25 @@ def test_run_length_matches_single_steps_on_staircases():
             assert _run_length(p, w, pc, deltas) == steps, w
             started[p] += 1
     assert started == Counter({0: 60, 1: 60, 2: 56, 3: 56})
+
+
+def test_a_gap_that_starts_to_fill_never_ends_a_run():
+    """_run_length drops the digraphs a filling gap adds, which only the
+    deltas d[p ^ 1] and d[p ^ 3] subtract.  Both stay positive while
+    principal p shrinks the word, by two identities checked here on every
+    cyclic word of length <= 10 and each p with d[p] < 0, with (aa) and
+    (bb) counted from the definition."""
+    pairs = 0
+    for n in range(11):
+        for w in orc.cyclic_words(n):
+            d = principal_deltas(*letter_tally(w), pair_counts(w))
+            for p in range(4):
+                if d[p] < 0:
+                    aa, bb = orc.o_count(w, "aa"), orc.o_count(w, "bb")
+                    assert d[p] + d[p ^ 1] == 2 * (aa if p < 2 else bb), (w, p)
+                    assert d[p] + d[p ^ 3] == aa + bb, (w, p)
+                    pairs += 1
+    assert pairs == 43184
 
 
 def _same_as_single_steps(w):
