@@ -20,18 +20,18 @@ Pipeline, per length n:
    0), drops the subtree of any that falls below, and finishes the images
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
-4. _shard_job's visitor builds the rows with minimality.vertex_row,
-   ascending: a row hands the reverse of each level edge it canonicalizes
-   to the row of a later word of the shard, so each edge is canonicalized
-   once.  No row is built for an edge-free word, nor for enumerate_minimal;
+4. _shard_job's visitor builds rows with minimality.vertex_row into one
+   store: each level edge is canonicalized at the end whose row comes
+   first, which hands its reverse on unless the store holds the other's
+   row.  No row is built for an edge-free word, nor for enumerate_minimal;
 5. the visitor counts each one-vertex class as the scan hands over its
    word, an edge-free one from its counts alone, and stores the other
-   rows; _shard_job closes the class of each with no level image below it
-   with minimality.level_closure (computing only rows outside the shard),
-   owns it if its least vertex is the row, counts it by (type, weight,
-   size, root) and, if class output is wanted, renders its JSON line with
-   class_graph._to_json, the one writer, or keeps an edge-free word's
-   weight and word; under coincidences it scans each word;
+   rows; _shard_job closes the class of each row left in the store, once,
+   with minimality.level_closure over that store and reverse table, drops
+   its rows, owns it if its least vertex is the row, counts it by (type,
+   weight, size, root) and, if class output is wanted, renders its JSON
+   line with class_graph._to_json, the one writer, or keeps an edge-free
+   word's weight and word; under coincidences it scans each word;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the words handed on, numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word),
@@ -68,7 +68,7 @@ from .automorphism import (
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
 from .minimality import level_closure, principal_deltas, vertex_row
-from .word_core import LETTERS, _ab_counts, inverse_letter, order_key, weight
+from .word_core import LETTERS, _ab_counts, inverse_letter, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
 _WORD = bytes.maketrans(bytes(range(4)), LETTERS.encode())  # letter codes -> the word's bytes
@@ -192,9 +192,9 @@ def _shard_job(job) -> tuple:
     minimal word has a level principal, of the weight W its deltas give,
     with no row or graph; its entry in lines is chr(W) + w, which _numbered
     renders) or with loops only (level edges come in inverse pairs), and
-    stores the other rows, which share one reverse table (see vertex_row).
-    A stored row with no level image below it closes its class, computing
-    only rows outside the shard, and owns it if it is its least vertex.
+    stores the other rows, handing edges over in one reverse table (see
+    vertex_row).  Ascending, each row still in the store closes its class
+    over it, owns it if it is its least vertex and drops the class's rows.
     With out, lines[size] lists its classes by least vertex, None for one
     not of weight (if given).  With scan, each word is scanned after its
     row, if any.
@@ -218,8 +218,7 @@ def _shard_job(job) -> tuple:
             if out:
                 lines.setdefault(1, []).append(chr(w_weight) + w if wt in (None, w_weight) else None)
             return
-        key = order_key(w)  # the scan goes up, so the larger words of the shard are still to come
-        row = vertex_row(w, pc, deltas, reverse, lambda c: c.startswith(prefix) and order_key(c) > key)
+        row = vertex_row(w, pc, deltas, reverse, rows)
         failures.extend(_coincidences(w, deltas, dict(row[1])) if scan else ())
         if any(c != w for _, c in row[1]):
             rows[w] = row
@@ -227,14 +226,15 @@ def _shard_job(job) -> tuple:
             count_graph(_assemble([row]))
 
     kept = _shard_rows(n, prefix, finish)
+    for w in list(rows):
+        if w in rows:  # w is the least vertex of its class in the shard
+            g = _assemble(level_closure(w, rows, reverse))
+            for u in g.vertices:
+                del rows[u]
+            if g.vertices[0] == w:  # its least vertex owns it
+                count_graph(g)
     if reverse:
         raise TheoremViolation(f"length {n}, shard {prefix!r}: no row took the level edges handed to {sorted(reverse)}")
-    for w, (_, images, _, _) in rows.items():
-        if min(order_key(c) for _, c in images) < order_key(w):
-            continue  # not the least vertex of its class
-        g = _assemble(level_closure(w, rows))
-        if g.vertices[0] == w:  # its least vertex owns it
-            count_graph(g)
     return stats, kept, lines, failures
 
 

@@ -25,9 +25,9 @@ the words at run boundaries are kept.
 
 vertex_row is the one map from a vertex of a class graph to its level
 edges, and level_closure is the one way a class is found: it collects the
-rows of one class breadth-first.  The rows of a closure or of a shard
-share a reverse table: each level edge is canonicalized at one end, and
-_REVERSE names its inverse edge, which the table hands to the other.
+rows of one class breadth-first.  A closure or a census job keeps one row
+store and one reverse table: each level edge is canonicalized at the end
+whose row comes first, and the table hands its inverse (_REVERSE) on.
 
 are_conjugate decides whether two words lie in the same automorphic
 conjugacy class and produces a replayable witness: a token sequence
@@ -192,15 +192,15 @@ def minimize(w: str) -> tuple[str, tuple]:
 
 # --- class graph rows ----------------------------------------------------
 
-def vertex_row(w: str, pc, deltas, reverse: dict, ahead) -> tuple:
+def vertex_row(w: str, pc, deltas, reverse: dict, rows) -> tuple:
     """(w, [(principal index, canonical image), ...], is_root, alternating)
     for a canonical minimal word w with pair_counts pc and principal_deltas
-    deltas: one entry per principal with length change 0, in PRINCIPALS
-    order; the two flags are vertex_flags(len(w), pc).  The edges handed
-    over in reverse.pop(w) are known; each other level image is canonicalized
-    to c, and its reverse edge (see _REVERSE) goes to this row if c is w, else
-    to reverse[c] if ahead(c), that is, if c's row is still to come.
-    """
+    deltas: an entry per principal of length change 0, in PRINCIPALS order,
+    and vertex_flags(len(w), pc).  reverse.pop(w) holds the edges handed
+    over; each other level image is canonicalized to c, and its reverse edge
+    (see _REVERSE) goes to this row if c is w, else to reverse[c] unless rows,
+    the row store, holds c: c's row, built while w had none, canonicalized
+    all of its images and handed their reverses to w."""
     n, images = len(w), reverse.pop(w, {})
     for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1):
         if delta == 0 and p not in images:
@@ -209,34 +209,31 @@ def vertex_row(w: str, pc, deltas, reverse: dict, ahead) -> tuple:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
             c, i, _ = _canonical(img)  # img is reduced by construction
             images[p] = c
-            if c == w or ahead(c):
+            if c == w or c not in rows:
                 (images if c == w else reverse.setdefault(c, {})).setdefault(_REVERSE[p - 1][i], w)
     if any(deltas[q - 1] for q in images):
         raise TheoremViolation(f"an edge handed to {w!r} names a principal not level on it: {sorted(images.items())}")
     return (w, sorted(images.items()), *vertex_flags(n, pc))
 
 
-def level_closure(start: str, known=None) -> list:
+def level_closure(start: str, rows=None, reverse=None) -> list:
     """The vertex_row of every vertex of the class graph of start, a
-    canonical minimal word, in breadth-first discovery order: known[u] if
-    known holds it, else computed from u.  The computed rows share one
-    reverse table, which canonicalizes each edge between them once."""
-    seen, done, reverse, known = {start}, set(), {}, known or {}
-    queue, rows = [start], []
+    canonical minimal word, in breadth-first discovery order: rows[u] if
+    the row store rows holds it, else computed and added to it, handing
+    edges over in reverse (see vertex_row), so each is canonicalized once."""
+    rows, reverse = {} if rows is None else rows, {} if reverse is None else reverse
+    seen, queue = {start}, [start]
     for u in queue:
-        done.add(u)
-        row = known.get(u)
-        if row is None:  # u must be minimal
+        if u not in rows:  # u must be minimal
             p, pc, deltas = _shrinking(u)
             if p is not None:
                 raise TheoremViolation(f"a principal shortens the minimal word {u!r}")
-            row = vertex_row(u, pc, deltas, reverse, lambda c: c not in done)
-        rows.append(row)
-        for _, c in row[1]:
+            rows[u] = vertex_row(u, pc, deltas, reverse, rows)
+        for _, c in rows[u][1]:
             if c not in seen:
                 seen.add(c)
                 queue.append(c)
-    return rows
+    return [rows[u] for u in queue]
 
 
 # --- conjugacy decision with replayable witness -------------------------
@@ -257,8 +254,8 @@ def format_token(item) -> str:
     return f"R[{int(item)}]"
 
 
-# the spellings format_token writes, with ASCII digits only
-_TOKEN = re.compile(r"W\[([^,\]]*),([^,\]]*)\](?:\^([0-9]+))?|P\[([^,\]]*),([^,\]]*)\]|R\[(-?[0-9]+)\]")
+# the spellings format_token writes: ASCII digits, no sign but '-', no leading 0
+_TOKEN = re.compile(r"W\[([^,\]]*),([^,\]]*)\](?:\^([1-9][0-9]*))?|P\[([^,\]]*),([^,\]]*)\]|R\[(0|-?[1-9][0-9]*)\]")
 
 
 def parse_token(text: str):

@@ -65,7 +65,7 @@ def inverse_letter(c: str) -> str:
 
 def invert(w: str) -> str:
     """The group inverse: reverse the word and invert each letter."""
-    return w.translate(_INVERT_TABLE)[::-1]
+    return check_word(w).translate(_INVERT_TABLE)[::-1]
 
 
 def order_key(w: str) -> str:
@@ -127,7 +127,7 @@ def rotate(w: str, k: int) -> str:
 
 def least_rotation(w: str) -> str:
     """Lexicographically least rotation in the order a < b < A < B."""
-    n = len(w)
+    n = len(check_word(w))
     if n <= 1:
         return w
     doubled = order_key(w) * 2
@@ -182,7 +182,7 @@ def letter_tally(w: str) -> tuple[int, int]:
 
 def weight(w: str) -> int:
     """min over the two generators of (occurrences of the generator plus its inverse)."""
-    a_count, b_count = letter_tally(w)
+    a_count, b_count = letter_tally(check_word(w))
     return min(a_count, b_count)
 
 

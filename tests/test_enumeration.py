@@ -534,9 +534,9 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
     assert min(calls) > 0
     if workers == 1:
         # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
-        # 1,512 stored rows hold 549 heads, each closed and assembled once,
-        # and own 468 classes; weight() reads each class that is not edge-free
-        assert calls == [92 + 1512, 549, 549 + 92, 2544 - 1984, 549 + 92]
+        # 1,512 stored rows make 468 classes, each closed and assembled once;
+        # weight() reads each class that is not edge-free
+        assert calls == [92 + 1512, 468, 468 + 92, 2544 - 1984, 468 + 92]
 
 
 def test_edge_free_lines_are_cut_from_one_template_per_weight(monkeypatch):
@@ -608,11 +608,11 @@ def test_enumerate_minimal_builds_no_rows(monkeypatch, workers):
 
 def test_a_reverse_edge_left_after_the_scan_fails_the_shard(monkeypatch):
     """An entry of the shard's reverse table that no row takes, here one
-    handed to a word the scan never reaches, raises when the scan ends."""
+    handed to a word in no class, raises once the job's closures are done."""
 
-    def stale(w, pc, deltas, reverse, ahead):
+    def stale(w, pc, deltas, reverse, rows):
         reverse["bbbbbbbbb"] = {1: w}
-        return real(w, pc, deltas, reverse, ahead)
+        return real(w, pc, deltas, reverse, rows)
 
     real = enumeration.vertex_row
     monkeypatch.setattr(enumeration, "vertex_row", stale)
@@ -629,6 +629,18 @@ def test_the_scan_canonicalizes_each_level_edge_once(monkeypatch):
     monkeypatch.setattr(minimality, "_canonical", lambda w: calls.append(w) or real(w))
     census([12])
     assert len(calls) == 1511
+
+
+def test_shards_of_length_13_canonicalize_5674_images(monkeypatch):
+    """The 14 shard jobs of length 13 make 5,674 canonicalizations, not the
+    7,488 they made when each closure kept its own reverse table: a closure
+    reads the shard's row store and hands edges over in its reverse table."""
+    calls = []
+    real = minimality._canonical
+    monkeypatch.setattr(minimality, "_canonical", lambda w: calls.append(w) or real(w))
+    for p in _shard_prefixes(13):
+        _shard_job((13, p, False, None, False))
+    assert len(calls) == 5674
 
 
 @pytest.mark.parametrize("n", range(8, 14))

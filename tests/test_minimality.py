@@ -229,7 +229,7 @@ def test_level_closure_rows_match_oracle_in_discovery_order(w):
 def test_vertex_row_rejects_a_wrong_length_change():
     # ({a}, b) lengthens aa by 2; a delta of 0 claimed for it must not pass
     with pytest.raises(TheoremViolation):
-        vertex_row("aa", pair_counts("aa"), (0, 2, 0, 0), {}, lambda c: False)
+        vertex_row("aa", pair_counts("aa"), (0, 2, 0, 0), {}, {})
 
 
 def test_vertex_row_rejects_a_handed_edge_of_a_non_level_principal():
@@ -239,7 +239,7 @@ def test_vertex_row_rejects_a_handed_edge_of_a_non_level_principal():
     deltas = principal_deltas(*letter_tally(w), pc)
     assert deltas == (1, 1, 0, 0)
     with pytest.raises(TheoremViolation, match="an edge handed to .aabaB. names a principal not level on it"):
-        vertex_row(w, pc, deltas, {w: {1: "aabAb"}}, lambda c: False)
+        vertex_row(w, pc, deltas, {w: {1: "aabAb"}}, {})
 
 
 def test_level_closure_canonicalizes_each_edge_once(monkeypatch):
@@ -278,8 +278,8 @@ def test_token_round_trips():
 def test_parse_token_rejects_malformed():
     for bad in (
         "", "W[a]", "W[a,b,c]", "Q[a,b]", "R[1", "R[]", "noise",
-        "R[ 3]", "R[3 ]", "R[+2]", "R[1_0]", "R[\u0663]", "R[3]\n",  # spellings format_token never writes
-        "W[a,b]^1", "W[a,b]^0", "W[a,b]^x", "W[a,b]^", "W[a,b]^-2", "W[a,b]^\u0663", "P[a,b]^2", "R[2]^2",
+        "R[ 3]", "R[3 ]", "R[+2]", "R[1_0]", "R[\u0663]", "R[3]\n", "R[01]", "R[-0]",  # spellings format_token never writes
+        "W[a,b]^1", "W[a,b]^0", "W[a,b]^x", "W[a,b]^", "W[a,b]^-2", "W[a,b]^\u0663", "W[a,b]^02", "P[a,b]^2", "R[2]^2",
     ):
         with pytest.raises(ValueError):
             parse_token(bad)

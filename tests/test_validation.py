@@ -49,6 +49,7 @@ BAD_CALLS = (
     'parse_token("R[1_0]")',
     'parse_token("R[\\u0663]")',  # an Arabic-Indic digit three
     'replay_witness("ab", ["R[\\u0661]"])',
+    'replay_witness("ab", ["R[01]"])',
     'replay_witness("ab", [True])',  # a bool is not a rotation
     'replay_witness("ab", [3.5])',
     'replay_witness("ab", [(PRINCIPALS[0],)])',
@@ -93,6 +94,9 @@ BAD_CALLS = (
     'cyclic_reduce("xa")',
     'cyclic_reduce("ab\\u00e9")',  # a non-ASCII character
     'free_reduce("aAx")',
+    'least_rotation("xzy")',  # a word of non-letters has no rotation, inverse or weight
+    'invert("xy")',
+    'weight("xyz")',
     'inverse_letter("x")',
     'inverse_letter("ab")',
     'apply_cyclic(PRINCIPALS[0], "ax")',
