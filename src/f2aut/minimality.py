@@ -37,13 +37,14 @@ step, into the cyclically reduced second word exactly.  Each greedy run
 of k >= 2 steps is one token W[y,x]^k on either reduction leg.  So is a
 level run between the two minimal words: a path class can have n - 5
 vertices of length n, and q steps of one principal cross it.
-_power_path reads q off the exponent sums, checks the length of the
-image from the same gap table and confirms it with one _align; any other
-pair of minimal words is joined by the breadth-first path through the
+_power_path reads q off the exponent sums, or off the gap tables where
+they do not move, and confirms it with one _align.  The pairs it misses,
+all in R7 classes for n <= 14, take the breadth-first path through the
 rows of level_closure.  Each step's image is aligned to the canonical
 vertex the path already holds, so only the two minimal words are
-canonicalized.  The same alignment, identity permutation first, gives
-the rotation after each inverse run back up the second word's reduction.
+canonicalized.  The first word's leg reuses its greedy states; back up
+the second word's, the same alignment, identity permutation first, gives
+the rotation after each inverse run.
 
 The internal callers apply a principal through automorphism._apply_cyclic,
 which skips apply_cyclic's checks on the cyclic words they have built.
@@ -54,6 +55,7 @@ from __future__ import annotations
 import re
 
 from .automorphism import (
+    ALL_PERMUTATIONS,
     OneLetterAut,
     PRINCIPALS,
     Permutation,
@@ -124,8 +126,8 @@ def _run_length(p: int, w: str, pc, d) -> int:
     for (m, u, up), count in _moving_gaps(phi, w).items():
         if m < 0:
             events.setdefault(-m, []).append((u + inverse_letter(up) + u, count))
-    tallies = list(letter_tally(w))
     ab, ab_bar, lo = pc.ab, pc.ab_bar, 0
+    tallies = [pc.aa + ab + ab_bar, pc.bb + ab + ab_bar]  # letter_tally(w) (see pair_counts)
     for hi in [*sorted(events), None]:
         if d[p] >= 0 or min(d[:p], default=0) < 0:
             return lo
@@ -147,7 +149,9 @@ def _shrinking(w: str) -> tuple:
     index p of the principal the greedy rule applies to w, or None.  is_minimal,
     level_closure, _power_path and the greedy reduction read them here."""
     pc = pair_counts(w)
-    deltas = principal_deltas(*letter_tally(w), pc)
+    runs = pc.ab + pc.ab_bar  # (aa) = a tally - runs, (bb) = b tally - runs (see pair_counts)
+    tally = (pc.aa + runs, pc.bb + runs) if len(w) > 1 else letter_tally(w)
+    deltas = principal_deltas(*tally, pc)
     return next((q for q, delta in enumerate(deltas) if delta < 0), None), pc, deltas
 
 
@@ -291,7 +295,9 @@ def apply_token(item, w: str) -> str:
 
 
 def replay_witness(w: str, tokens) -> str:
-    """Apply a witness to cyclic_reduce(w); each step preserves the class."""
+    """Apply a witness, a sequence of tokens, to cyclic_reduce(w); each step preserves the class."""
+    if isinstance(tokens, str):
+        raise ValueError(f"a witness is a sequence of tokens, not the string {tokens!r}")
     cur = cyclic_reduce(w)[0]
     for tok in tokens:
         cur = apply_token(parse_token(tok) if isinstance(tok, str) else tok, cur)
@@ -308,34 +314,47 @@ def _power_path(canon_w: str, canon_v: str):
     canon_w, carry it onto a rotation of a permutation image of canon_v;
     None when no single power of a principal is found to do so.
 
-    Write phi = ({y}, x) with y a generator.  A step adds the y-exponent sum
-    e_y to the x-exponent sum and keeps every other exponent sum, so q is
-    read off each signed-permutation image of canon_v's exponent sums whose
-    y-entry is e_y.  q steps raise the exponent m of each moving gap by q
-    and change no other gap (see _moving_gaps); so the length of the image
-    is known before it is built, and only an image of canon_w's length is
-    built and aligned.
+    Write phi = ({y}, x) with y a generator.  q steps raise the exponent m
+    of each moving gap by q and change no other gap (see _moving_gaps).  A
+    step adds the y-exponent sum e_y to the x-exponent sum and keeps the
+    other, so q is read off each signed-permutation image of canon_v's
+    exponent sums whose y-entry is e_y, if the gaps then keep the length.
+    After these, where e_y is 0, each image of canon_v with canon_w's
+    exponent sums and y-tally gives q as its least gap exponent less
+    canon_w's, if its gap table is canon_w's raised by q.  Each image
+    built has canon_w's length and is confirmed by one _align.
     """
-    n = len(canon_w)
-    e = _exponent_sums(canon_w)
+    n, e = len(canon_w), _exponent_sums(canon_w)
     f, g = _exponent_sums(canon_v)
     targets = {(s * f, t * g) for s in (1, -1) for t in (1, -1)}  # those of the 8 images of canon_v
     targets |= {(b, a) for a, b in targets}
-    deltas = _shrinking(canon_w)[2]
-    for phi, delta in zip(PRINCIPALS, deltas):
-        iy = "ab".index(phi.y)
-        ix, ey = 1 - iy, e[iy]
-        if delta or not ey:
-            continue
-        sign = 1 if phi.x in "ab" else -1  # a step adds sign * ey to e[ix]
-        steps = sorted(
-            {sign * ((t[ix] - e[ix]) // ey) for t in targets if t[iy] == ey and (t[ix] - e[ix]) % ey == 0}
-        )
-        moving = _moving_gaps(phi, canon_w).items()
-        for q in steps:
-            if 0 < q < n and sum(count * (abs(m + q) - abs(m)) for (m, _, _), count in moving) == 0:
-                if _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
-                    return [((phi, q), canon_v)]
+    level = [phi for phi, delta in zip(PRINCIPALS, _shrinking(canon_w)[2]) if not delta]
+
+    def steps():
+        for phi in level:
+            iy = "ab".index(phi.y)
+            ix, ey = 1 - iy, e[iy]
+            if ey:
+                sign = 1 if phi.x in "ab" else -1  # a step adds sign * ey to e[ix]
+                moving = _moving_gaps(phi, canon_w).items()
+                qs = {sign * ((t[ix] - e[ix]) // ey) for t in targets if t[iy] == ey and (t[ix] - e[ix]) % ey == 0}
+                for q in sorted(qs):
+                    if sum(count * (abs(m + q) - abs(m)) for (m, _, _), count in moving) == 0:
+                        yield phi, q
+        for phi in level:
+            table = _moving_gaps(phi, canon_w)
+            if e["ab".index(phi.y)] or not table:
+                continue
+            for img in (pi(canon_v) for pi in ALL_PERMUTATIONS):
+                if img.count(phi.y) == canon_w.count(phi.y) and _exponent_sums(img) == e:
+                    moved = _moving_gaps(phi, img)
+                    q = min(moved)[0] - min(table)[0] if moved else 0
+                    if moved == {(m + q, u, up): count for (m, u, up), count in table.items()}:
+                        yield phi, q
+
+    for phi, q in steps():
+        if 0 < q < n and _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
+            return [((phi, q), canon_v)]
     return None
 
 
@@ -368,8 +387,8 @@ def are_conjugate(w: str, v: str):
 
     Between two distinct canonical minimal words a level run of one
     principal is tried first (_power_path), and written as one token
-    W[y,x]^q; every other pair takes the breadth-first level path, one
-    principal per edge.
+    W[y,x]^q; a pair it misses, in an R7 class, takes the breadth-first
+    level path, one principal per edge.
     """
     cw = cyclic_reduce(w)[0]
     cv = cyclic_reduce(v)[0]
@@ -387,21 +406,19 @@ def are_conjugate(w: str, v: str):
         if path is None:
             return False, None
 
-    tokens = []
-    cur = cw
+    tokens = list(w_runs)  # _minimize_states built their images, ending at mw
+    cur = mw
 
-    def emit(item):
+    def emit(item):  # a run (phi, k) goes through the kernel: cur is a cyclic word built here
         nonlocal cur
         tokens.append(item)
-        cur = apply_token(item, cur)
+        cur = _apply_cyclic(item[0], cur, item[1]) if isinstance(item, tuple) else apply_token(item, cur)
 
     def align(target):
         if (found := _align(cur, target)) is None:
             raise TheoremViolation(f"no rotation of a permutation image of {cur!r} is {target!r}")
         return found
 
-    for run in w_runs:
-        emit(run)
     emit(pi_w)
     emit(k_w)
     for step, c in path:  # from a canonical vertex: a run, then permutation and rotation

@@ -40,6 +40,8 @@ class SubwordCounts(NamedTuple):
 
 def check_word(s: str) -> str:
     """Validate the letter alphabet; returns s unchanged."""
+    if not isinstance(s, str):
+        raise ValueError(f"{s!r} is not a word: words are strings of 'a', 'b', 'A', 'B'")
     # what is left once the letters are deleted ('?' for a non-ASCII character);
     # on long words bytes.translate is about three times as fast as str.translate
     if s.encode("ascii", "replace").translate(None, b"abAB"):
@@ -50,7 +52,7 @@ def check_word(s: str) -> str:
 
 def check_cyclic_word(w: str) -> str:
     """Validate that w is a cyclic word (see is_cyclic_word); returns w unchanged."""
-    if not is_cyclic_word(w):
+    if not isinstance(w, str) or not is_cyclic_word(w):
         check_word(w)
         raise ValueError(f"{w!r} is not cyclically reduced")
     return w

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles as orc
 from conftest import cyclic_reduced_words, raw_words, run_heavy_words
-from f2aut import enumerate_classes, minimality
+from f2aut import automorphism, enumerate_classes, minimality
 from f2aut.automorphism import (
     ALL_ONE_LETTER,
     ALL_PERMUTATIONS,
@@ -475,7 +475,7 @@ def test_power_step_decides_as_the_bfs(monkeypatch):
     """Every ordered pair of vertices of every class of length <= 11, and the
     two ends of the wide class of a^(n-6) baBabb both ways for n <= 40: the
     decision is the one the breadth-first path alone gives, and the witness
-    replays through the oracle.  One power of a principal joins 1,306 of the
+    replays through the oracle.  One power of a principal joins 1,754 of the
     1,762 pairs of distinct vertices; a wide witness has at most 12 tokens."""
     pairs = [
         (u, v)
@@ -491,7 +491,7 @@ def test_power_step_decides_as_the_bfs(monkeypatch):
         for pair in ((w, v), (v, w))
     ]
     answers = [are_conjugate(w, v) for w, v in pairs + wide]
-    assert sum(_power_path(u, v) is not None for u, v in pairs if u != v) == 1306
+    assert sum(_power_path(u, v) is not None for u, v in pairs if u != v) == 1754
     assert len([1 for u, v in pairs if u != v]) == 1762
     assert max(len(tokens) for _, tokens in answers[len(pairs) :]) <= 12
     monkeypatch.setattr(minimality, "_power_path", lambda u, v: None)
@@ -501,10 +501,14 @@ def test_power_step_decides_as_the_bfs(monkeypatch):
 
 
 def test_power_step_falls_back_or_refuses(monkeypatch):
-    # every exponent sum of aabABBAb is 0, so no power of a principal moves
-    # them and the breadth-first path joins the two vertices
-    w, v = "aabABBAb", "abaBAbAB"
-    assert _exponent_sums(w) == (0, 0) and _power_path(w, v) is None
+    # every exponent sum of aabABBAb is 0; the gap table of ({a}, B) gives
+    # one step onto abaBAbAB
+    assert _exponent_sums("aabABBAb") == (0, 0)
+    assert _power_path("aabABBAb", "abaBAbAB") == [((PRINCIPALS[1], 1), "abaBAbAB")]
+    # no power of a principal joins these two vertices of an R7 class, so
+    # the breadth-first path does
+    w, v = "aabaBabb", "aabbaBAB"
+    assert build_graph(w).gtype == "R7" and _power_path(w, v) is None
     flag, tokens = are_conjugate(w, v)
     assert flag and not any("^" in t for t in tokens)
     assert orc.replay_tokens(w, tokens) == v
@@ -516,6 +520,81 @@ def test_power_step_falls_back_or_refuses(monkeypatch):
     monkeypatch.setattr(minimality, "_apply_cyclic", lambda phi, u, k=1: built.append(k) or kernel(phi, u, k))
     assert _power_path("aaaabb", "aaabAB") is None and built == [2]
     assert are_conjugate("aaaabb", "aaabAB") == are_conjugate("aaabAB", "aaaabb") == (False, None)
+
+
+def test_zero_exponent_sum_pair_crosses_its_class_in_one_power(monkeypatch):
+    """a^(n-6) baBBAb and a^k baB a^k BAb, k = (n - 6) / 2, lie in one P1
+    class of n - 5 vertices, and b's exponent sum is 0: the gap table of
+    ({b}, A) gives the power, with no breadth-first path."""
+
+    def no_bfs(u, v):
+        raise AssertionError("the breadth-first path was taken")
+
+    monkeypatch.setattr(minimality, "_bfs_path", no_bfs)
+    n, k = 4000, 1997
+    w, v = "a" * (n - 6) + "baBBAb", rotate("a" * k + "baB" + "a" * k + "BAb", n // 3)
+    flag, tokens = are_conjugate(w, v)
+    assert flag and len(tokens) <= 12
+    assert orc.replay_tokens(w, tokens) == v
+
+
+def test_conjugacy_makes_few_canonical_forms(monkeypatch):
+    """On every ordered pair of vertices of every class of length <= 11,
+    are_conjugate makes at most 8 canonical forms, and one power of a
+    principal joins every pair of distinct vertices outside R7 classes."""
+    calls = Counter()
+    kernel = minimality._canonical
+
+    def counted(w):
+        calls["canonical"] += 1
+        return kernel(w)
+
+    monkeypatch.setattr(minimality, "_canonical", counted)
+    monkeypatch.setattr(automorphism, "_canonical", counted)
+    for n in range(12):
+        for record in enumerate_classes(n):
+            vertices = record.graph.vertices
+            for u in vertices:
+                for v in vertices:
+                    calls.clear()
+                    assert are_conjugate(u, v)[0]
+                    assert calls["canonical"] <= 8, (u, v)
+                    if u != v and record.graph.gtype != "R7":
+                        assert _power_path(u, v) is not None, (u, v)
+
+
+def test_witness_reuses_the_greedy_states(monkeypatch):
+    """are_conjugate applies no step of the first word's reduction again: it
+    makes the kernel calls of both reductions, and one per run back up the
+    second word's, on the word of test_long_pushed_primitive_has_a_short_witness."""
+    w = "a" * 999 + "b"
+    for _ in range(40):
+        w = apply_cyclic(PRINCIPALS[0], w)
+    v = rotate(Permutation("B", "a")(w), len(w) // 3)
+    calls = Counter()
+    kernel = automorphism._apply_cyclic
+
+    def counted(phi, u, k=1):
+        calls["kernel"] += 1
+        return kernel(phi, u, k)
+
+    monkeypatch.setattr(minimality, "_apply_cyclic", counted)
+    monkeypatch.setattr(automorphism, "_apply_cyclic", counted)
+    minimality._minimize_states(w)
+    v_runs = minimality._minimize_states(v)[1]
+    reductions = calls["kernel"]
+    calls.clear()
+    flag, tokens = are_conjugate(w, v)
+    assert flag and calls["kernel"] <= reductions + len(v_runs)
+
+
+def test_shrinking_reads_the_tally_off_the_pair_counts():
+    for n in range(11):
+        for w in orc.cyclic_words(n):
+            pc = pair_counts(w)
+            deltas = principal_deltas(*letter_tally(w), pc)
+            p = next((q for q, delta in enumerate(deltas) if delta < 0), None)
+            assert _shrinking(w) == (p, pc, deltas), w
 
 
 def test_witnesses_and_graphs_are_pinned():

@@ -29,6 +29,11 @@ BAD_CALLS = (
     'replay_witness("ab", ["W[a,A]"])',
     'replay_witness("ac", [])',
     'are_conjugate("ac", "ab")',
+    'are_conjugate(None, "a")',  # not a string
+    'are_conjugate(b"a", "a")',
+    'replay_witness("ab", "R[1]")',  # one token is not a sequence of tokens
+    'is_minimal(None)',
+    'canonical_word(b"ab")',
     'build_graph("ac")',
     'Permutation("a", "A")',
     'Permutation("b", "b")',
