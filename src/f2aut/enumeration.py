@@ -609,18 +609,39 @@ _COINCIDENCE_RULES = (
 )
 
 
+def _image_sums(w: str, deltas) -> tuple:
+    """Per principal, in PRINCIPALS order, the (a-type tally, |exponent sum
+    of a|) and (b-type tally, |exponent sum of b|) of its image of the
+    cyclic word w with principal_deltas deltas, read off w alone: ({y}, x)
+    cancels no y-type letter, so only the x-type tally moves, by the length
+    change, and y -> yx adds the exponent sum of y to that of x."""
+    n = len(w)
+    ta = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
+    tb, ea, eb = n - ta, w.count("a") - w.count("A"), w.count("b") - w.count("B")
+    return (
+        ((ta, abs(ea)), (tb + deltas[0], abs(eb + ea))),
+        ((ta, abs(ea)), (tb + deltas[1], abs(eb - ea))),
+        ((ta + deltas[2], abs(ea + eb)), (tb, abs(eb))),
+        ((ta + deltas[3], abs(ea - eb)), (tb, abs(eb))),
+    )
+
+
 def _coincidences(w: str, deltas, level=()) -> list:
     """The counterexamples at one cyclic word w with principal_deltas deltas,
     in _COINCIDENCE_RULES order.  Two level images compare by their forms in
     level (principal index -> canonical form, from w's row), any other two
-    of equal length by one _align; a counterexample's images are canonicalized."""
-    images = {}
+    of equal length by their _image_sums as multisets (a signed permutation
+    keeps or swaps the two pairs), then by one _align of the images, each
+    built once; a counterexample's images are canonicalized."""
+    images, sums = {}, _image_sums(w, deltas)
 
     def coincide(h, k):
         if deltas[h] != deltas[k]:
             return False
         if h + 1 in level:
             return level[h + 1] == level[k + 1]
+        if sums[h] != sums[k] and sums[h] != sums[k][::-1]:
+            return False
         for i in (h, k):
             if i not in images:
                 images[i] = _apply_cyclic(PRINCIPALS[i], w)

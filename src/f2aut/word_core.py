@@ -52,8 +52,8 @@ def check_word(s: str) -> str:
 
 def check_cyclic_word(w: str) -> str:
     """Validate that w is a cyclic word (see is_cyclic_word); returns w unchanged."""
-    if not isinstance(w, str) or not is_cyclic_word(w):
-        check_word(w)
+    if not is_cyclic_word(w):
+        check_word(w)  # a non-str or a non-letter
         raise ValueError(f"{w!r} is not cyclically reduced")
     return w
 
@@ -94,8 +94,8 @@ def is_reduced(w: str) -> bool:
 
 
 def is_cyclic_word(w: str) -> bool:
-    """Membership in C2: letters only, freely reduced and last letter != inverse of first."""
-    if w.encode("ascii", "replace").translate(None, b"abAB") or not is_reduced(w):
+    """Membership in C2: a str of letters only, freely reduced and last letter != inverse of first."""
+    if not isinstance(w, str) or w.encode("ascii", "replace").translate(None, b"abAB") or not is_reduced(w):
         return False
     return len(w) < 2 or w[-1] != _INV[w[0]]
 

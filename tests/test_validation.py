@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from f2aut.class_graph import build_graph, from_json, to_json
-from f2aut.word_core import check_word
+from f2aut.word_core import check_word, is_cyclic_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -192,6 +192,11 @@ def test_cli_input_errors_exit_2_without_traceback_under_O(argv):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("w", (None, b"ab", ["a", "b"]))
+def test_is_cyclic_word_answers_false_on_a_non_string(w):
+    assert is_cyclic_word(w) is False
 
 
 def test_bad_letter_deep_in_a_long_word_is_named():
