@@ -45,23 +45,29 @@ class ClassGraph:
     gtype: str
 
 
-def _assemble(rows) -> ClassGraph:
-    """Build the graph value from the vertex rows of one class."""
-    vertices = tuple(sorted((row[0] for row in rows), key=order_key))
+def _assemble(rows) -> tuple:
+    """(gtype, vertices, edges, is_root_class, has_alternating) of the graph
+    of one class, from its vertex rows: the ClassGraph fields, which the
+    census counts and renders without building the value."""
+    vertices = tuple(sorted([row[0] for row in rows], key=order_key))
     index = {w: i for i, w in enumerate(vertices)}
-    edges = tuple(sorted((index[w], index[c], p) for w, images, _, _ in rows for p, c in images))
-    is_root_class = any(row[2] for row in rows)
-    has_alternating = any(row[3] for row in rows)
+    edges = tuple(sorted([(index[w], index[c], p) for w, images, _, _ in rows for p, c in images]))
+    is_root_class = has_alternating = False
+    for row in rows:
+        is_root_class |= row[2]
+        has_alternating |= row[3]
     gtype = _classify(len(vertices), edges, is_root_class, has_alternating)
-    return ClassGraph(vertices, edges, is_root_class, has_alternating, gtype)
+    return gtype, vertices, edges, is_root_class, has_alternating
 
 
 def build_graph(w: str) -> ClassGraph:
-    """The class graph of a minimal word: the level closure of its canonical form."""
+    """The class graph of a minimal word: the level closure of its canonical
+    form, assembled by _assemble and wrapped in a ClassGraph."""
     w = cyclic_reduce(w)[0]
     if not is_minimal(w):
         raise ValueError(f"build_graph requires a minimal word, got {w!r}")
-    return _assemble(level_closure(canonical_word(w)))
+    gtype, vertices, edges, is_root_class, has_alternating = _assemble(level_closure(canonical_word(w)))
+    return ClassGraph(vertices, edges, is_root_class, has_alternating, gtype)
 
 
 # Root shapes by (has_alternating, k): the sorted (u, v) pairs of the edges, labels dropped

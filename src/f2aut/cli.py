@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -125,17 +126,18 @@ def cmd_graph(args) -> int:
     return 0
 
 
+# N or A..B in ASCII digits; int() would also take a sign, spaces, underscores and other scripts' digits
+_LENGTHS = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+
+
 def _parse_lengths(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        hi = lo
-    try:
-        lo_i, hi_i = int(lo), int(hi)
-    except ValueError:
-        raise ValueError(f"--lengths expects N or A..B, got {text!r}") from None
-    if not 0 <= lo_i <= hi_i <= 20:
+    m = _LENGTHS.fullmatch(text)
+    if not m:
+        raise ValueError(f"--lengths expects N or A..B, got {text!r}")
+    lo, hi = int(m[1]), int(m[2] or m[1])
+    if not 0 <= lo <= hi <= 20:
         raise ValueError("--lengths must satisfy 0 <= A <= B <= 20")
-    return range(lo_i, hi_i + 1)
+    return range(lo, hi + 1)
 
 
 def _resolve_workers(args) -> int:
@@ -174,6 +176,8 @@ def cmd_enumerate(args) -> int:
     lengths = _parse_lengths(args.lengths)
     workers = _resolve_workers(args)
     out_dir = Path(args.out) if args.out else None
+    if args.weight is not None and out_dir is None:
+        raise ValueError("--weight restricts the classes_<n>.jsonl files of --out, and no --out is given")
     scan = {} if args.scan_coincidences else None
 
     def write(n, lines):
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", required=True, help="length range as N or A..B (0 <= A <= B <= 20)")
     p.add_argument("--workers", type=int, default=None, help="worker processes (default: the usable cores)")
     p.add_argument("--out", default=None, help="directory for classes_<n>.jsonl and census CSV files")
-    p.add_argument("--weight", type=int, default=None, help="restrict classes_<n>.jsonl to one weight")
+    p.add_argument("--weight", type=int, default=None, help="restrict classes_<n>.jsonl to one weight (needs --out)")
     p.add_argument("--check-conjectures", action="store_true", help="emit the observed-versus-predicted report")
     p.add_argument("--scan-coincidences", action="store_true", help="scan principal-image coincidence implications")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

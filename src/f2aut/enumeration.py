@@ -9,10 +9,12 @@ Pipeline, per length n:
    each letter with its count increments off a table of the letters that
    may follow the previous one, and drop each subtree in which no
    completion can be minimal or least mod signed permutation.  The scan
-   hands each word it keeps to a visitor and stores nothing (_shard_rows);
+   hands each word it keeps on and stores nothing (_shard_rows);
 2. the last letter's table adds the wrap digraph, so there the minimality
-   bound is exact and a necklace that passes it is minimal.  Only these
-   words are built as strings, with one translate;
+   bound is exact and a necklace that passes it is minimal; with both
+   tallies above it, every principal lengthens the word, which is
+   edge-free.  Only these words are built as strings, with one
+   translate, and an edge-free one goes out as chr(W) + w, W its weight;
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
@@ -20,18 +22,21 @@ Pipeline, per length n:
    0), drops the subtree of any that falls below, and finishes the images
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
-4. _shard_job's visitor builds rows with minimality.vertex_row into one
+4. _shard_job's visitor, which gets only the words with a level
+   principal, builds their rows with minimality.vertex_row into one
    store: each level edge is canonicalized at the end whose row comes
    first, which hands its reverse on unless the store holds the other's
    row.  No row is built for an edge-free word, nor for enumerate_minimal;
-5. the visitor counts each one-vertex class as the scan hands over its
-   word, an edge-free one from its counts alone, and stores the other
-   rows; _shard_job closes the class of each row left in the store, once,
-   with minimality.level_closure over that store and reverse table, drops
-   its rows, owns it if its least vertex is the row, counts it by (type,
-   weight, size, root) and, if class output is wanted, renders its JSON
-   line with class_graph._to_json, the one writer, or keeps an edge-free
-   word's weight and word; under coincidences it scans each word;
+5. the job counts each edge-free word's class (P1, one vertex) from the
+   entry it receives and keeps the entry as its line, counts a class whose
+   level images are all its word as the visitor gets the word, and stores
+   the other rows; it then closes the class of each row left in the
+   store, once, with minimality.level_closure over that store and reverse
+   table, drops its rows, owns it if its least vertex is the row, and
+   counts it by (type, weight, size, root) from class_graph._assemble's
+   fields and, if class output is wanted, renders its JSON line with
+   class_graph._to_json, the one writer; under coincidences it scans
+   each word as it is handed on;
 6. census adds the shard counts into class_stats, its one table, checks
    that the class sizes add up to the words handed on, numbers the lines
    n.1, n.2, ... by size, then shard order: ascending (size, least word),
@@ -67,7 +72,7 @@ from .automorphism import (
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
-from .minimality import level_closure, principal_deltas, vertex_row
+from .minimality import _shrinking, level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, _ab_counts, inverse_letter, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
@@ -93,12 +98,15 @@ _MAPS_TO_A = tuple(
 )
 
 
-def _shard_rows(n: int, prefix: str, visit) -> int:
-    """Call visit(w, pc, deltas) for each vertex w of length n that starts
-    with prefix, ascending, with its pair_counts fields as a plain tuple and
-    its principal_deltas; return how many words it handed on, which census
-    checks against the class sizes.  Every prefix starts with a, as every
-    necklace that contains a does.
+def _shard_rows(n: int, prefix: str, visit, edge_free) -> tuple:
+    """Hand each vertex w of length n that starts with prefix on, ascending:
+    an edge-free one, whose principal_deltas are all positive, to
+    edge_free(chr(W) + w), W its weight, and any other to visit(w, pc,
+    deltas), with its pair_counts fields as a plain tuple and its
+    principal_deltas.  Return (kept, leaves): the words handed on, which
+    census checks against the class sizes, and the necklaces that reached
+    the last letter's test of the tied images.  Every prefix starts with
+    a, as every necklace that contains a does.
 
     Duval's algorithm over codes a=0 < b=1 < A=2 < B=3 (inverse = code ^ 2)
     visits the cyclically reduced necklaces, reading each letter off
@@ -113,7 +121,8 @@ def _shard_rows(n: int, prefix: str, visit) -> int:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion.
-      At the last letter this is exactly a negative principal_deltas;
+      At the last letter this is exactly a negative principal_deltas, and
+      both tallies above 2 max(ab, aB) are exactly four positive ones;
     - a tied image falls below the prefix.  The b<->B image is tied at
       rotation 0, and once a run starting at s is as long as the leading
       a-run, each non-identity signed permutation m sending its letter to
@@ -135,17 +144,17 @@ def _shard_rows(n: int, prefix: str, visit) -> int:
     """
     if n < 2:  # "" or "a": one vertex, of principal_deltas (n, n, 0, 0), whose level images are itself
         visit("a" * n, (0, 0, 0, 0), (n, n, 0, 0))
-        return 1
+        return 1, 1
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
     a = [0] * (n + 1)  # a[1] is a, as every prefix starts with a
-    kept = 0
+    kept = leaves = 0
 
     def rec(t, p, tally, ab, aB, run, cap, tied):
         # a[1..t-1] placed; run is the length of its last run, cap that of its
         # leading a-run, or n while every letter placed is an a; tied lists the
         # (s, m) whose image m(a) rotated to s equals a[1..t-s] so far
-        nonlocal kept
+        nonlocal kept, leaves
         prev = a[t - 1]
         lo = a[t - p]
         rem = n - t
@@ -173,66 +182,79 @@ def _shard_rows(n: int, prefix: str, visit) -> int:
                 if rem:
                     rec(t + 1, p if v == lo else t, tally_v, ab_v, aB_v, run_v, cap_v, tied_v)
                 elif v != lo or n % p == 0:  # a necklace; minimal, as the bound above is exact here
-                    pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # (aa, bb, ab, aB)
-                    deltas = principal_deltas(tally_v, n - tally_v, pc)
-                    if not (tied_v and any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v)):
-                        visit(bytes(a[1:]).translate(_WORD).decode(), pc, deltas)
-                        kept += 1
+                    leaves += 1
+                    if tied_v and any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
+                        continue
+                    w = bytes(a[1:]).translate(_WORD).decode()
+                    kept += 1
+                    if tally_v > need < n - tally_v:  # every principal_deltas entry is positive
+                        edge_free(chr(n - tally_v if tally_v > n - tally_v else tally_v) + w)
+                    else:
+                        pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # (aa, bb, ab, aB)
+                        visit(w, pc, principal_deltas(tally_v, n - tally_v, pc))
 
     rec(2, 1, 1, 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
-    return kept
+    return kept, leaves
 
 
 def _shard_job(job) -> tuple:
     """One shard, finished: (class_stats Counter of the classes it owns,
     words the scan handed on, their to_json lines by size, coincidence failures).
 
-    job is (n, prefix, out, weight, scan).  finish counts a one-vertex class
-    as the scan hands over its word: edge-free (P1, as a root or alternating
-    minimal word has a level principal, of the weight W its deltas give,
-    with no row or graph; its entry in lines is chr(W) + w, which _numbered
-    renders) or with loops only (level edges come in inverse pairs), and
+    job is (n, prefix, out, weight, scan).  The scan hands each edge-free
+    word to edge_free as chr(W) + w, W its weight, the entry in lines that
+    _numbered renders: its class is a P1 singleton (a root or alternating
+    minimal word has a level principal) with no row or graph, counted from
+    the entries received, not from the scan's count of words kept, which
+    census checks.  finish gets each other word, counts its class if its
+    level images are all itself (level edges come in inverse pairs), and
     stores the other rows, handing edges over in one reverse table (see
-    vertex_row).  Ascending, each row still in the store closes its class
-    over it, owns it if it is its least vertex and drops the class's rows.
-    With out, lines[size] lists its classes by least vertex, None for one
-    not of weight (if given).  With scan, each word is scanned after its
-    row, if any.
+    vertex_row).  Both kinds of size-1 line join lines[1] in scan order.
+    Ascending, each row still in the store closes its class over it, owns
+    it if it is its least vertex and drops the class's rows.  A class is
+    counted and rendered from _assemble's fields, its weight read off its
+    least vertex's a-type tally.  With out, lines[size] lists its classes
+    by least vertex, None for one not of weight (if given).  With scan,
+    each word is scanned as it is handed on, after its row if it has one.
     """
     n, prefix, out, wt, scan = job
-    stats, lines, failures, reverse, rows = Counter(), {}, [], {}, {}
+    stats, lines, failures, reverse, rows = Counter(), {1: []} if out else {}, [], {}, {}
+    free = [0] * (n // 2 + 1)  # edge-free classes by weight
 
-    def count_graph(g):
-        w_weight = weight(g.vertices[0])
-        stats[g.gtype, w_weight, len(g.vertices), g.is_root_class] += 1
+    def count(gtype, vertices, edges, root, alternating):
+        tally = vertices[0].count("a") + vertices[0].count("A")
+        w_weight = n - tally if tally > n - tally else tally
+        stats[gtype, w_weight, len(vertices), root] += 1
         if out:
-            fields = (g.gtype, w_weight, g.is_root_class, g.has_alternating, g.vertices, g.edges)
-            lines.setdefault(len(g.vertices), []).append(_to_json(*fields) if wt in (None, w_weight) else None)
+            line = _to_json(gtype, w_weight, root, alternating, vertices, edges) if wt in (None, w_weight) else None
+            lines.setdefault(len(vertices), []).append(line)
 
-    def finish(w, pc, deltas):  # stores w's row, or counts w's class here if it has one vertex
-        if 0 not in deltas:
-            failures.extend(_coincidences(w, deltas) if scan else ())
-            tally = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
-            w_weight = min(tally, n - tally)
-            stats["P1", w_weight, 1, False] += 1
-            if out:
-                lines.setdefault(1, []).append(chr(w_weight) + w if wt in (None, w_weight) else None)
-            return
+    def finish(w, pc, deltas):  # stores w's row, or counts w's class here if its level images are all w
         row = vertex_row(w, pc, deltas, reverse, rows)
-        failures.extend(_coincidences(w, deltas, dict(row[1])) if scan else ())
-        if any(c != w for _, c in row[1]):
-            rows[w] = row
-        else:
-            count_graph(_assemble([row]))
+        if scan:
+            failures.extend(_coincidences(w, deltas, dict(row[1])))
+        for _, c in row[1]:
+            if c != w:
+                rows[w] = row
+                return
+        count(*_assemble([row]))
 
-    kept = _shard_rows(n, prefix, finish)
+    def edge_free(entry):  # chr(W) + w: an edge-free word w of weight W
+        free[ord(entry[0])] += 1
+        if scan:
+            failures.extend(_coincidences(entry[1:], _shrinking(entry[1:])[2]))
+        if out:
+            lines[1].append(entry if wt is None or ord(entry[0]) == wt else None)
+
+    kept = _shard_rows(n, prefix, finish, edge_free)[0]
+    stats.update({("P1", w_weight, 1, False): k for w_weight, k in enumerate(free) if k})
     for w in list(rows):
         if w in rows:  # w is the least vertex of its class in the shard
-            g = _assemble(level_closure(w, rows, reverse))
-            for u in g.vertices:
+            gtype, vertices, edges, root, alternating = _assemble(level_closure(w, rows, reverse))
+            for u in vertices:
                 del rows[u]
-            if g.vertices[0] == w:  # its least vertex owns it
-                count_graph(g)
+            if vertices[0] == w:  # its least vertex owns it
+                count(gtype, vertices, edges, root, alternating)
     if reverse:
         raise TheoremViolation(f"length {n}, shard {prefix!r}: no row took the level edges handed to {sorted(reverse)}")
     return stats, kept, lines, failures
@@ -241,8 +263,8 @@ def _shard_job(job) -> tuple:
 def _shard_words(job) -> list:
     """The vertices of one shard (n, prefix), in ascending order; no row is built."""
     words = []
-    _shard_rows(*job, lambda w, pc, deltas: words.append(w))
-    return words
+    _shard_rows(*job, lambda w, pc, deltas: words.append(w), words.append)
+    return [e if e[:1] == "a" else e[1:] for e in words]  # an edge-free entry is chr(W) + w, and w starts with a
 
 
 def _shard_prefixes(n: int) -> list:

@@ -147,7 +147,8 @@ def _run_length(p: int, w: str, pc, d) -> int:
 def _shrinking(w: str) -> tuple:
     """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
     index p of the principal the greedy rule applies to w, or None.  is_minimal,
-    level_closure, _power_path and the greedy reduction read them here."""
+    level_closure, _power_path, the greedy reduction and the census's
+    coincidence scan of an edge-free word read them here."""
     pc = pair_counts(w)
     runs = pc.ab + pc.ab_bar  # (aa) = a tally - runs, (bb) = b tally - runs (see pair_counts)
     tally = (pc.aa + runs, pc.bb + runs) if len(w) > 1 else letter_tally(w)
@@ -206,17 +207,18 @@ def vertex_row(w: str, pc, deltas, reverse: dict, rows) -> tuple:
     the row store, holds c: c's row, built while w had none, canonicalized
     all of its images and handed their reverses to w."""
     n, images = len(w), reverse.pop(w, {})
-    for p, (phi, delta) in enumerate(zip(PRINCIPALS, deltas), start=1):
-        if delta == 0 and p not in images:
-            img = _apply_cyclic(phi, w)
+    for p in 1, 2, 3, 4:
+        if deltas[p - 1] == 0 and p not in images:
+            img = _apply_cyclic(PRINCIPALS[p - 1], w)
             if len(img) != n:
                 raise TheoremViolation(f"principal {p} is not level on {w!r}: {img!r}")
             c, i, _ = _canonical(img)  # img is reduced by construction
             images[p] = c
             if c == w or c not in rows:
                 (images if c == w else reverse.setdefault(c, {})).setdefault(_REVERSE[p - 1][i], w)
-    if any(deltas[q - 1] for q in images):
-        raise TheoremViolation(f"an edge handed to {w!r} names a principal not level on it: {sorted(images.items())}")
+    for q in images:
+        if deltas[q - 1]:
+            raise TheoremViolation(f"an edge handed to {w!r} names a principal not level on it: {sorted(images.items())}")
     return (w, sorted(images.items()), *vertex_flags(n, pc))
 
 

@@ -279,7 +279,13 @@ def test_enumerate_weight_filter(capsys, tmp_path):
         ("enumerate", "--lengths", "5..3"),
         ("enumerate", "--lengths", "0..21"),
         ("enumerate", "--lengths", "x"),
+        # int() reads 1_0 as 10, strips spaces, takes a sign and reads Arabic-Indic digits
+        ("enumerate", "--lengths", "1_0"),
+        ("enumerate", "--lengths", " 5"),
+        ("enumerate", "--lengths", "+3"),
+        ("enumerate", "--lengths", "\u0661\u0662"),
         ("enumerate", "--lengths", "3", "--workers", "0"),
+        ("enumerate", "--lengths", "0..6", "--weight", "2"),  # --weight filters --out files, and there is none
         ("minimize", "abc"),
         ("profile", "aXb"),
     ],
@@ -288,6 +294,23 @@ def test_usage_errors_exit_2(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("lengths, expected", (("0", [0]), ("3..5", [3, 4, 5]), ("20", [20])))
+def test_enumerate_lengths_in_ascii_digits_run(capsys, monkeypatch, lengths, expected):
+    """Each accepted --lengths reaches the census as its range; length 20
+    runs for minutes, so the census records the lengths and runs none."""
+    asked = []
+
+    def recorded(lengths, *args, **kwargs):
+        asked.extend(lengths)
+        return real([], *args, **kwargs)
+
+    real = cli.census
+    monkeypatch.setattr(cli, "census", recorded)
+    rc, stdout, _ = run(capsys, "enumerate", "--lengths", lengths, "--workers", "1", "--format", "csv")
+    assert rc == 0 and asked == expected
+    assert stdout.splitlines()[0].startswith("n,")
 
 
 def test_enumerate_negative_weight_writes_nothing(capsys, tmp_path):

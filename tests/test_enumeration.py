@@ -84,23 +84,32 @@ def unpruned_rows(n: int, prefix: str) -> list:
 def check_shards_match_unpruned_scan(monkeypatch, n: int, prefixes) -> None:
     """Each shard's words, which enumerate_minimal reads, are the unpruned
     scan's, and every row its job builds with the shard's reverse table is
-    the oracle's vertex_row; no row is built for an edge-free word."""
-    built = {}
+    the oracle's vertex_row; no row is built for an edge-free word.  The
+    job receives each word with no level image, and only those, at the
+    scan's leaf as chr(W) + w, in order, W the weight of the oracle's tally."""
+    built, handed = {}, []
 
     def recorded(w, *args):
         built[w] = real(w, *args)
         return built[w]
 
-    real = enumeration.vertex_row
+    def scan_recorded(n, prefix, visit, edge_free):
+        return real_scan(n, prefix, visit, lambda entry: handed.append(entry) or edge_free(entry))
+
+    real, real_scan = enumeration.vertex_row, enumeration._shard_rows
     monkeypatch.setattr(enumeration, "vertex_row", recorded)
+    monkeypatch.setattr(enumeration, "_shard_rows", scan_recorded)
     for p in prefixes:
         words = unpruned_rows(n, p)
         assert _shard_words((n, p)) == words, p
         built.clear()
+        handed.clear()
         _shard_job((n, p, False, None, False))
         assert list(built) == [w for w in words if orc.o_vertex_row(w)[1]], p
         for w, row in built.items():
             assert row == orc.o_vertex_row(w)
+        tallies = {w: orc.o_count(w, "a") for w in words if not orc.o_vertex_row(w)[1]}
+        assert handed == [chr(min(t, n - t)) + w for w, t in tallies.items()], p
 
 
 # the reduced prefixes of two to four letters whose first letter after the
@@ -127,23 +136,18 @@ def test_stretch_sharded_rows_match_oracle(monkeypatch, n):
     check_shards_match_unpruned_scan(monkeypatch, n, _shard_prefixes(n))
 
 
-def test_scan_builds_few_leaves_per_kept_row(monkeypatch):
-    """principal_deltas runs once per leaf the scan builds.  At n = 12 the
-    scan builds 4,071 leaves for 3,588 rows; without the tied-image prune
-    it built 5,903 (1.645 per row).  The exact count also notices a lost
+def test_scan_builds_few_leaves_per_kept_row():
+    """The scan returns the words it kept and the leaves it built, the
+    necklaces that reach the last letter's tied-image test.  At n = 12 its
+    shards build 4,071 leaves for 3,588 rows; without the tied-image prune
+    they built 5,903 (1.645 per row).  The exact count also notices a lost
     tied start, such as the run at position 2 after a single leading a
     (4,072 leaves), which changes no row up to n = 16."""
-    leaves = []
-
-    def counted(*args):
-        leaves.append(args)
-        return principal_deltas(*args)
-
-    principal_deltas = enumeration.principal_deltas
-    monkeypatch.setattr(enumeration, "principal_deltas", counted)
-    kept = sum(len(_shard_words((12, p))) for p in _shard_prefixes(12))
-    assert kept == 3588
-    assert len(leaves) == 4071 <= 1.2 * kept
+    handed = []
+    counts = [enumeration._shard_rows(12, p, lambda w, *_: handed.append(w), handed.append) for p in _shard_prefixes(12)]
+    kept, leaves = map(sum, zip(*counts))
+    assert kept == len(handed) == 3588
+    assert leaves == 4071 <= 1.2 * kept
 
 
 def check_burnside_count(n: int) -> None:
@@ -448,14 +452,14 @@ def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
 
 def _census_of_rows(monkeypatch, rows):
     """census([6]) with the scan replaced by one shard of the words of the
-    given rows, each handed to the job's finish as the scan would, with a
+    given rows, each handed to the job's visitor as the scan would, with a
     level principal; vertex_row returns the given row."""
     by_word = {row[0]: row for row in rows}
 
-    def one_shard(n, prefix, finish):
+    def one_shard(n, prefix, visit, edge_free):
         for w in by_word:
-            finish(w, None, (0, 0, 0, 0))
-        return len(by_word)
+            visit(w, None, (0, 0, 0, 0))
+        return len(by_word), len(by_word)
 
     monkeypatch.setattr(enumeration, "vertex_row", lambda w, *_: by_word[w])
     monkeypatch.setattr(enumeration, "_shard_rows", one_shard)
@@ -490,13 +494,19 @@ def _edge_free(w: str) -> bool:
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("dropped", ("aaaaaabbb", "aaaaaabaB"))
 def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypatch, dropped, workers):
-    """The leaf reports a class finished that nobody counted: an edge-free
-    word, or a word whose every level image is itself."""
+    """The leaf keeps a word that no class counts: an edge-free word,
+    dropped at its hand-off, or a word whose every level image is itself,
+    dropped on its way to the visitor."""
     assert _edge_free(dropped) == (dropped == "aaaaaabbb")
     assert {c for _, c in orc.o_vertex_row(dropped)[1]} <= {dropped}
 
-    def drop_at_leaf(n, prefix, finish):
-        return _rows_of_shard(n, prefix, lambda w, *counts: None if w == dropped else finish(w, *counts))
+    def drop_at_leaf(n, prefix, visit, edge_free):
+        return _rows_of_shard(
+            n,
+            prefix,
+            lambda w, *counts: None if w == dropped else visit(w, *counts),
+            lambda entry: None if entry[1:] == dropped else edge_free(entry),
+        )
 
     monkeypatch.setattr(enumeration, "_shard_rows", drop_at_leaf)
     with pytest.raises(TheoremViolation, match="length 9: the classes hold 176 vertices, the scan kept 177"):
@@ -505,11 +515,11 @@ def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypa
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
-    """At n = 12 no edge-free word gets a vertex_row, a level_closure, an
-    _assemble, a weight() call or a ClassGraph, also in the workers: calls
-    are counted in shared memory, (all calls, calls on an edge-free word)
-    per function."""
-    counts = multiprocessing.Array("q", 10)
+    """At n = 12 no edge-free word reaches the scan's visitor, a vertex_row,
+    a level_closure or an _assemble, also in the workers, and the census
+    makes no weight() call and builds no ClassGraph: calls are counted in
+    shared memory, (all calls, calls on an edge-free word) per function."""
+    counts = multiprocessing.Array("q", 12)
 
     def counted(k, fn, words_of):
         def call(*args):
@@ -520,24 +530,30 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
 
         return call
 
+    def scan(n, prefix, visit, edge_free):
+        return real_scan(n, prefix, counted(5, visit, lambda w, *_: [w]), edge_free)
+
+    real_scan = enumeration._shard_rows
+    monkeypatch.setattr(enumeration, "_shard_rows", scan)
     monkeypatch.setattr(enumeration, "vertex_row", counted(0, enumeration.vertex_row, lambda w, *_: [w]))
     monkeypatch.setattr(enumeration, "level_closure", counted(1, enumeration.level_closure, lambda w, *_: [w]))
     monkeypatch.setattr(enumeration, "_assemble", counted(2, enumeration._assemble, lambda rows: [r[0] for r in rows]))
     monkeypatch.setattr(enumeration, "weight", counted(3, enumeration.weight, lambda w: [w]))
     graph = counted(4, class_graph.ClassGraph, lambda vertices, *_: vertices)
-    for module in (enumeration, class_graph):  # _assemble builds each graph of the census
+    for module in (enumeration, class_graph):  # build_graph wraps _assemble's fields in one
         monkeypatch.setattr(module, "ClassGraph", graph)
     written = []
     tables = census([12], workers, lines=lambda n, lines: written.extend(lines))
     assert len(written) == tables.class_totals[12] == 2544
     calls, edge_free_calls = counts[0::2], counts[1::2]
-    assert edge_free_calls == [0, 0, 0, 0, 0]
-    assert min(calls) > 0
+    assert edge_free_calls == [0] * 6
+    assert calls[3:5] == [0, 0]  # classes are counted and rendered from _assemble's fields
+    assert min(calls[:3] + calls[5:]) > 0
     if workers == 1:
         # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
-        # 1,512 stored rows make 468 classes, each closed and assembled once;
-        # weight() reads each class that is not edge-free
-        assert calls == [92 + 1512, 468, 468 + 92, 2544 - 1984, 468 + 92]
+        # visitor gets the other 1,604, and the 1,512 stored rows make 468
+        # classes, each closed and assembled once
+        assert calls == [92 + 1512, 468, 468 + 92, 0, 0, 3588 - 1984]
 
 
 def test_edge_free_lines_are_cut_from_one_template_per_weight(monkeypatch):

@@ -184,6 +184,7 @@ def test_bad_library_input_raises_value_error_under_O():
         ["graph", "a-b"],
         ["profile", "ab c"],
         ["enumerate", "--lengths", "0", "--weight", "-1"],
+        ["enumerate", "--lengths", "0..6", "--weight", "2"],  # --weight filters --out files, and there is none
     ),
 )
 def test_cli_input_errors_exit_2_without_traceback_under_O(argv):
