@@ -148,21 +148,14 @@ def classify(g: ClassGraph) -> str:
 
 
 def to_dict(g: ClassGraph) -> dict:
-    """The JSON schema of a class graph; enumerate --out prefixes it with the class id."""
-    return {
-        "length": len(g.vertices[0]),
-        "type": g.gtype,
-        "size": len(g.vertices),
-        "weight": weight(g.vertices[0]),
-        "root": g.is_root_class,
-        "alternating": g.has_alternating,
-        "vertices": list(g.vertices),
-        "edges": [list(e) for e in g.edges],
-    }
+    """The JSON schema of a class graph, as to_json writes it: length, type,
+    size, weight, root, alternating, vertices and edges, in that order;
+    enumerate --out prefixes it with the class id."""
+    return json.loads(to_json(g))
 
 
 def to_json(g: ClassGraph) -> str:
-    """json.dumps(to_dict(g)), written directly."""
+    """The one writer of a class graph's JSON, which to_dict reads back."""
     return _to_json(g.gtype, weight(g.vertices[0]), g.is_root_class, g.has_alternating, g.vertices, g.edges)
 
 

@@ -24,19 +24,8 @@ from pathlib import Path
 from .automorphism import PRINCIPALS, canonical_word
 from .class_graph import GRAPH_TYPES, TheoremViolation, build_graph, to_dict, to_dot, to_json
 from .enumeration import census, conjecture_report, expected_class_size, render_conjecture_report
-from .minimality import (
-    are_conjugate,
-    format_token,
-    minimize,
-    principal_deltas,
-)
-from .word_core import (
-    cyclic_reduce,
-    letter_tally,
-    pair_counts,
-    vertex_flags,
-    weight,
-)
+from .minimality import _shrinking, are_conjugate, format_token, minimize
+from .word_core import cyclic_reduce, letter_tally, vertex_flags, weight
 
 PRINCIPAL_NAMES = tuple(format_token(phi) for phi in PRINCIPALS)
 
@@ -87,10 +76,9 @@ def cmd_equiv(args) -> int:
 
 def cmd_profile(args) -> int:
     core = cyclic_reduce(args.word)[0]
-    pc = pair_counts(core)
+    p, pc, deltas = _shrinking(core)
     a_count, b_count = letter_tally(core)
-    deltas = principal_deltas(a_count, b_count, pc)
-    minimal = min(deltas) >= 0
+    minimal = p is None
     payload = {
         "input": args.word,
         "cyclic": core,

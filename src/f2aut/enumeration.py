@@ -72,7 +72,7 @@ from .automorphism import (
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
-from .minimality import _shrinking, level_closure, principal_deltas, vertex_row
+from .minimality import _exponent_sums, _shrinking, level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, _ab_counts, inverse_letter, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
@@ -435,10 +435,13 @@ def census(lengths, workers: int = 1, *, lines=None, weight=None, coincidences=N
     given (ids count all), and coincidences(n, failures) the coincidence
     failures of its vertices, in ascending order (see _coincidences).  Each
     distinct length is enumerated once, in ascending order.  Raises
-    TheoremViolation unless the class sizes add up to the vertices.
+    ValueError on a weight without lines, and TheoremViolation unless the
+    class sizes add up to the vertices.
     """
     if weight is not None:
         _check_count("weight", weight, 0)
+        if lines is None:
+            raise ValueError("weight restricts the classes_<n>.jsonl lines, and no lines hook is given")
     tables = CensusTables({})
     stream = _shard_results(_shard_job, lengths, workers, lines is not None, weight, coincidences is not None)
     with contextlib.closing(stream):
@@ -639,7 +642,7 @@ def _image_sums(w: str, deltas) -> tuple:
     change, and y -> yx adds the exponent sum of y to that of x."""
     n = len(w)
     ta = (n + deltas[0] - deltas[2]) // 2  # deltas[0] - deltas[2] is the tally difference
-    tb, ea, eb = n - ta, w.count("a") - w.count("A"), w.count("b") - w.count("B")
+    tb, (ea, eb) = n - ta, _exponent_sums(w)
     return (
         ((ta, abs(ea)), (tb + deltas[0], abs(eb + ea))),
         ((ta, abs(ea)), (tb + deltas[1], abs(eb - ea))),

@@ -37,14 +37,16 @@ step, into the cyclically reduced second word exactly.  Each greedy run
 of k >= 2 steps is one token W[y,x]^k on either reduction leg.  So is a
 level run between the two minimal words: a path class can have n - 5
 vertices of length n, and q steps of one principal cross it.
-_power_path reads q off the exponent sums, or off the gap tables where
-they do not move, and confirms it with one _align.  The pairs it misses,
-all in R7 classes for n <= 14, take the breadth-first path through the
-rows of level_closure.  Each step's image is aligned to the canonical
-vertex the path already holds, so only the two minimal words are
-canonicalized.  The first word's leg reuses its greedy states; back up
-the second word's, the same alignment, identity permutation first, gives
-the rotation after each inverse run.
+_power_path reads q off the gap tables of the one word and of a
+permutation image of the other, builds the run's image only where that
+image's table and exponent sums are the ones q steps give, and confirms
+it with one _align.  The pairs it misses, all in R7 classes for
+n <= 14, take the breadth-first path through the rows of level_closure.
+Each step's image is aligned to the canonical vertex the path already
+holds, so only the two minimal words are canonicalized.  The first
+word's leg reuses its greedy states; back up the second word's, the same
+alignment, identity permutation first, gives the rotation after each
+inverse run.
 
 The internal callers apply a principal through automorphism._apply_cyclic,
 which skips apply_cyclic's checks on the cyclic words they have built.
@@ -147,8 +149,8 @@ def _run_length(p: int, w: str, pc, d) -> int:
 def _shrinking(w: str) -> tuple:
     """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
     index p of the principal the greedy rule applies to w, or None.  is_minimal,
-    level_closure, _power_path, the greedy reduction and the census's
-    coincidence scan of an edge-free word read them here."""
+    f2aut profile, level_closure, _power_path, the greedy reduction and the
+    census's coincidence scan of an edge-free word read them here."""
     pc = pair_counts(w)
     runs = pc.ab + pc.ab_bar  # (aa) = a tally - runs, (bb) = b tally - runs (see pair_counts)
     tally = (pc.aa + runs, pc.bb + runs) if len(w) > 1 else letter_tally(w)
@@ -317,46 +319,32 @@ def _power_path(canon_w: str, canon_v: str):
     None when no single power of a principal is found to do so.
 
     Write phi = ({y}, x) with y a generator.  q steps raise the exponent m
-    of each moving gap by q and change no other gap (see _moving_gaps).  A
-    step adds the y-exponent sum e_y to the x-exponent sum and keeps the
-    other, so q is read off each signed-permutation image of canon_v's
-    exponent sums whose y-entry is e_y, if the gaps then keep the length.
-    After these, where e_y is 0, each image of canon_v with canon_w's
-    exponent sums and y-tally gives q as its least gap exponent less
-    canon_w's, if its gap table is canon_w's raised by q.  Each image
-    built has canon_w's length and is confirmed by one _align.
+    of each moving gap by q and change no other gap (see _moving_gaps); they
+    keep the y-tally and the y-exponent sum e_y, and add q e_y to the
+    x-exponent sum, -q e_y when x is an inverse.  So a permutation image of
+    canon_v that phi^q(canon_w) rotates onto has canon_w's y-tally and
+    e_y, and q is its least gap exponent less canon_w's.  It is kept only
+    if its gap table is canon_w's raised by q and its x-exponent sum moved
+    by q e_y; only then is phi^q(canon_w) built, and confirmed by one _align.
     """
     n, e = len(canon_w), _exponent_sums(canon_w)
-    f, g = _exponent_sums(canon_v)
-    targets = {(s * f, t * g) for s in (1, -1) for t in (1, -1)}  # those of the 8 images of canon_v
-    targets |= {(b, a) for a, b in targets}
-    level = [phi for phi, delta in zip(PRINCIPALS, _shrinking(canon_w)[2]) if not delta]
-
-    def steps():
-        for phi in level:
-            iy = "ab".index(phi.y)
-            ix, ey = 1 - iy, e[iy]
-            if ey:
-                sign = 1 if phi.x in "ab" else -1  # a step adds sign * ey to e[ix]
-                moving = _moving_gaps(phi, canon_w).items()
-                qs = {sign * ((t[ix] - e[ix]) // ey) for t in targets if t[iy] == ey and (t[ix] - e[ix]) % ey == 0}
-                for q in sorted(qs):
-                    if sum(count * (abs(m + q) - abs(m)) for (m, _, _), count in moving) == 0:
-                        yield phi, q
-        for phi in level:
-            table = _moving_gaps(phi, canon_w)
-            if e["ab".index(phi.y)] or not table:
+    for phi, delta in zip(PRINCIPALS, _shrinking(canon_w)[2]):
+        table = None if delta else _moving_gaps(phi, canon_w)
+        if not table:  # not level, or phi fixes canon_w
+            continue
+        iy, tally = "ab".index(phi.y), canon_w.count(phi.y)
+        step = e[iy] if phi.x in "ab" else -e[iy]  # what a step adds to the x-exponent sum
+        for pi in ALL_PERMUTATIONS:
+            img = pi(canon_v)
+            f = _exponent_sums(img)
+            if img.count(phi.y) != tally or f[iy] != e[iy]:
                 continue
-            for img in (pi(canon_v) for pi in ALL_PERMUTATIONS):
-                if img.count(phi.y) == canon_w.count(phi.y) and _exponent_sums(img) == e:
-                    moved = _moving_gaps(phi, img)
-                    q = min(moved)[0] - min(table)[0] if moved else 0
-                    if moved == {(m + q, u, up): count for (m, u, up), count in table.items()}:
-                        yield phi, q
-
-    for phi, q in steps():
-        if 0 < q < n and _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
-            return [((phi, q), canon_v)]
+            moved = _moving_gaps(phi, img)
+            q = min(moved)[0] - min(table)[0] if moved else 0
+            raised = {(m + q, u, up): count for (m, u, up), count in table.items()}
+            if 0 < q < n and f[1 - iy] == e[1 - iy] + q * step and moved == raised:
+                if _align(_apply_cyclic(phi, canon_w, q), canon_v) is not None:
+                    return [((phi, q), canon_v)]
     return None
 
 

@@ -514,11 +514,11 @@ def test_power_step_falls_back_or_refuses(monkeypatch):
     assert orc.replay_tokens(w, tokens) == v
     # two classes of length 6: the square of ({b}, A) keeps aaaabb's length
     # and carries its exponent sums to those of a permutation image of
-    # aaabAB, so the image is built, and the alignment refuses it
+    # aaabAB, but no image has aaaabb's gap table raised by 2, so none is built
     built = []
     kernel = minimality._apply_cyclic
     monkeypatch.setattr(minimality, "_apply_cyclic", lambda phi, u, k=1: built.append(k) or kernel(phi, u, k))
-    assert _power_path("aaaabb", "aaabAB") is None and built == [2]
+    assert _power_path("aaaabb", "aaabAB") is None and built == []
     assert are_conjugate("aaaabb", "aaabAB") == are_conjugate("aaabAB", "aaaabb") == (False, None)
 
 
@@ -536,6 +536,50 @@ def test_zero_exponent_sum_pair_crosses_its_class_in_one_power(monkeypatch):
     flag, tokens = are_conjugate(w, v)
     assert flag and len(tokens) <= 12
     assert orc.replay_tokens(w, tokens) == v
+
+
+@pytest.mark.parametrize("n", (1006, 16000))
+def test_power_step_builds_one_image_on_wide_pairs(monkeypatch, n):
+    """The two ends of the wide class of a^(n-6) baBabb, and a^(n-6) baBBAb
+    against its zero-exponent-sum twin a^h baB a^h BAb, h = (n - 6) / 2,
+    both ways: _power_path builds one image, the power it returns."""
+    h = (n - 6) // 2
+    cases = [
+        ("a" * (n - 6) + "baBabb", "a" * (n - 6) + "bbABAb", "W[b,A]", n - 6),
+        ("a" * (n - 6) + "bbABAb", "a" * (n - 6) + "baBabb", "W[b,A]", n - 6),
+        ("a" * (n - 6) + "baBBAb", "a" * h + "baB" + "a" * h + "BAb", "W[b,A]", h),
+        ("a" * h + "baB" + "a" * h + "BAb", "a" * (n - 6) + "baBBAb", "W[b,a]", h),
+    ]
+    built = []
+    kernel = minimality._apply_cyclic
+    monkeypatch.setattr(minimality, "_apply_cyclic", lambda phi, u, k=1: built.append(k) or kernel(phi, u, k))
+    for w, v, phi, q in cases:
+        cw, cv = canonical_word(w), canonical_word(v)
+        built.clear()
+        [((found, power), c)] = _power_path(cw, cv)
+        assert (str(found), power, c, built) == (phi, q, cv, [q])
+
+
+# sha256 of the JSON lines [u, v, _power_path(u, v) as [[token, vertex]] or
+# null] over every ordered pair of distinct vertices of one class, n <= 12
+POWER_PATH_DIGEST = "12b5dd398f5aeb65706668a73ba8d11f256973817dc7aeb586603e8bae943b6a"
+
+
+def test_power_path_is_pinned():
+    """_power_path on the 5,608 ordered pairs of distinct vertices of one
+    class of length <= 12: 5,476 found, the other 132, all in R7 classes, None."""
+    h, found, pairs = hashlib.sha256(), 0, 0
+    for n in range(13):
+        for record in enumerate_classes(n):
+            for u in record.graph.vertices:
+                for v in record.graph.vertices:
+                    if u != v:
+                        path = _power_path(u, v)
+                        steps = None if path is None else [[format_token(step), c] for step, c in path]
+                        h.update((json.dumps([u, v, steps]) + "\n").encode())
+                        found, pairs = found + (path is not None), pairs + 1
+    assert (pairs, found) == (5608, 5476)
+    assert h.hexdigest() == POWER_PATH_DIGEST
 
 
 def test_conjugacy_makes_few_canonical_forms(monkeypatch):

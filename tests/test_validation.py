@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from f2aut.class_graph import build_graph, from_json, to_json
+from f2aut.enumeration import census
 from f2aut.word_core import check_word, is_cyclic_word
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,6 +89,7 @@ BAD_CALLS = (
     'census([6], lines=lambda n, text: None, weight=-1)',  # a weight no class has
     'census([6], lines=lambda n, text: None, weight="3")',
     'census([6], lines=lambda n, text: None, weight=True)',
+    'census([6], weight=2)',  # a weight filters the lines, and none are asked for
     'expected_class_size(census([3]), 5)',  # a length the census does not hold
     'conjecture_report(census([]))',  # a census of no length
     'subword_count("abab", "")',
@@ -168,6 +170,15 @@ def run_optimized(*args):
 def test_graph_json_fixture_is_a_valid_graph():
     assert to_json(build_graph("aaabb")) == GRAPH_JSON
     assert from_json(GRAPH_JSON) == build_graph("aaabb")
+
+
+def test_census_weight_filters_the_lines():
+    """census([6], lines=..., weight=2) writes the weight-2 lines alone, with
+    the ids of the whole table, and counts every class."""
+    every, some = {}, {}
+    tables = census([6], lines=lambda n, lines: every.update({n: list(lines)}))
+    assert census([6], lines=lambda n, lines: some.update({n: list(lines)}), weight=2) == tables
+    assert some[6] and some[6] == [line for line in every[6] if '"weight": 2,' in line]
 
 
 def test_bad_library_input_raises_value_error_under_O():
