@@ -9,12 +9,11 @@ Pipeline, per length n:
    each letter with its count increments off a table of the letters that
    may follow the previous one, and drop each subtree in which no
    completion can be minimal or least mod signed permutation.  The scan
-   hands each word it keeps on and stores nothing (_shard_rows);
+   hands each word it keeps on with its a-type tally and digraph counts,
+   and stores nothing (_shard_rows);
 2. the last letter's table adds the wrap digraph, so there the minimality
-   bound is exact and a necklace that passes it is minimal; with both
-   tallies above it, every principal lengthens the word, which is
-   edge-free.  Only these words are built as strings, with one
-   translate, and an edge-free one goes out as chr(W) + w, W its weight;
+   bound is exact and a necklace that passes it is minimal.  Only these
+   words are built as strings, with one translate;
 3. keep the least representative mod rotation and signed permutation.  A
    rotation of an image below the word starts at a run as long as its
    leading a-run, so the scan compares each such image with the prefix,
@@ -22,15 +21,15 @@ Pipeline, per length n:
    0), drops the subtree of any that falls below, and finishes the images
    still tied at letter n on the wrapped-around letters.  Each surviving
    word is one vertex of one class graph;
-4. _shard_job's visitor, which gets only the words with a level
-   principal, builds their rows with minimality.vertex_row into one
-   store: each level edge is canonicalized at the end whose row comes
-   first, which hands its reverse on unless the store holds the other's
-   row.  No row is built for an edge-free word, nor for enumerate_minimal;
-5. the job counts each edge-free word's class (P1, one vertex) from the
-   entry it receives and keeps the entry as its line, counts a class whose
-   level images are all its word as the visitor gets the word, and stores
-   the other rows; it then closes the class of each row left in the
+4. _shard_job's one visitor reads each word off its counts: one with both
+   tallies above 2 max(ab, aB) is edge-free, any other gets its row from
+   minimality.vertex_row in one store: each level edge is canonicalized at
+   the end whose row comes first, which hands its reverse on unless the
+   store holds the other's row.  enumerate_minimal reads no count;
+5. the job counts each edge-free word's class (P1, one vertex) and keeps
+   chr(W) + w, W its weight, as its line, counts a class whose level
+   images are all its word as the visitor gets the word, and stores the
+   other rows; it then closes the class of each row left in the
    store, once, with minimality.level_closure over that store and reverse
    table, drops its rows, owns it if its least vertex is the row, and
    counts it by (type, weight, size, root) from class_graph._assemble's
@@ -72,7 +71,7 @@ from .automorphism import (
 )
 from .class_graph import GRAPH_TYPES as GRAPH_TYPE_ORDER  # census column order, re-exported
 from .class_graph import ClassGraph, TheoremViolation, _assemble, _to_json
-from .minimality import _exponent_sums, _shrinking, level_closure, principal_deltas, vertex_row
+from .minimality import _exponent_sums, level_closure, principal_deltas, vertex_row
 from .word_core import LETTERS, _ab_counts, inverse_letter, weight
 
 _CODE = {"a": 0, "b": 1, "A": 2, "B": 3}
@@ -98,12 +97,12 @@ _MAPS_TO_A = tuple(
 )
 
 
-def _shard_rows(n: int, prefix: str, visit, edge_free) -> tuple:
-    """Hand each vertex w of length n that starts with prefix on, ascending:
-    an edge-free one, whose principal_deltas are all positive, to
-    edge_free(chr(W) + w), W its weight, and any other to visit(w, pc,
-    deltas), with its pair_counts fields as a plain tuple and its
-    principal_deltas.  Return (kept, leaves): the words handed on, which
+def _shard_rows(n: int, prefix: str, visit) -> tuple:
+    """Hand each vertex w of length n that starts with prefix on, ascending,
+    as visit(w, tally, ab, aB), its a-type tally and cyclic digraph counts.
+    For "a" the pair counts read off them are (1, 0, 0, 0), where
+    pair_counts("a") is all zeros; vertex_flags, their only reader, treats
+    length 1 apart.  Return (kept, leaves): the words handed on, which
     census checks against the class sizes, and the necklaces that reached
     the last letter's test of the tied images.  Every prefix starts with
     a, as every necklace that contains a does.
@@ -121,8 +120,7 @@ def _shard_rows(n: int, prefix: str, visit, edge_free) -> tuple:
 
     - tally + remaining < 2 max(ab, aB) for either generator: the counts
       only grow, so principal_deltas goes negative on every completion.
-      At the last letter this is exactly a negative principal_deltas, and
-      both tallies above 2 max(ab, aB) are exactly four positive ones;
+      At the last letter this is exactly a negative principal_deltas;
     - a tied image falls below the prefix.  The b<->B image is tied at
       rotation 0, and once a run starting at s is as long as the leading
       a-run, each non-identity signed permutation m sending its letter to
@@ -142,8 +140,8 @@ def _shard_rows(n: int, prefix: str, visit, edge_free) -> tuple:
     updates the run and the tied images first, since a run that ends at
     the last letter starts images that only the wrap finishes.
     """
-    if n < 2:  # "" or "a": one vertex, of principal_deltas (n, n, 0, 0), whose level images are itself
-        visit("a" * n, (0, 0, 0, 0), (n, n, 0, 0))
+    if n < 2:  # "" or "a": one vertex, of a-type tally n and no digraph
+        visit("a" * n, n, 0, 0)
         return 1, 1
     pre = [_CODE[ch] for ch in prefix]
     forced = len(pre)
@@ -185,13 +183,8 @@ def _shard_rows(n: int, prefix: str, visit, edge_free) -> tuple:
                     leaves += 1
                     if tied_v and any([m[c] for c in a[1:s]] < a[n - s + 2 :] for s, m in tied_v):
                         continue
-                    w = bytes(a[1:]).translate(_WORD).decode()
                     kept += 1
-                    if tally_v > need < n - tally_v:  # every principal_deltas entry is positive
-                        edge_free(chr(n - tally_v if tally_v > n - tally_v else tally_v) + w)
-                    else:
-                        pc = (tally_v - ab_v - aB_v, n - tally_v - ab_v - aB_v, ab_v, aB_v)  # (aa, bb, ab, aB)
-                        visit(w, pc, principal_deltas(tally_v, n - tally_v, pc))
+                    visit(bytes(a[1:]).translate(_WORD).decode(), tally_v, ab_v, aB_v)
 
     rec(2, 1, 1, 0, 0, 1, n, [(1, m) for m in _MAPS_TO_A[0]])
     return kept, leaves
@@ -201,25 +194,25 @@ def _shard_job(job) -> tuple:
     """One shard, finished: (class_stats Counter of the classes it owns,
     words the scan handed on, their to_json lines by size, coincidence failures).
 
-    job is (n, prefix, out, weight, scan).  The scan hands each edge-free
-    word to edge_free as chr(W) + w, W its weight, the entry in lines that
-    _numbered renders: its class is a P1 singleton (a root or alternating
-    minimal word has a level principal) with no row or graph, counted from
-    the entries received, not from the scan's count of words kept, which
-    census checks.  finish gets each other word, counts its class if its
-    level images are all itself (level edges come in inverse pairs), and
-    stores the other rows, handing edges over in one reverse table (see
-    vertex_row).  Both kinds of size-1 line join lines[1] in scan order.
-    Ascending, each row still in the store closes its class over it, owns
-    it if it is its least vertex and drops the class's rows.  A class is
-    counted and rendered from _assemble's fields, its weight read off its
-    least vertex's a-type tally.  With out, lines[size] lists its classes
-    by least vertex, None for one not of weight (if given).  With scan,
-    each word is scanned as it is handed on, after its row if it has one.
+    job is (n, prefix, out, weight, scan).  visit alone reads what each word
+    the scan hands on is.  One with both tallies above 2 max(ab, aB) is
+    edge-free, lengthened by every principal: its class is a P1 singleton
+    (a root or alternating minimal word has a level principal), counted
+    with no row or graph, and its entry in lines is chr(W) + w, W its
+    weight, which _numbered renders.  Any other word gets its pair_counts,
+    principal_deltas and row; its class is counted if its level images are
+    all itself (level edges come in inverse pairs), else the row is stored,
+    handing edges over in one reverse table (see vertex_row).  Both kinds
+    of size-1 line join lines[1] in scan order.  Ascending, each row still
+    in the store closes its class over it, owns it if it is its least
+    vertex and drops the class's rows.  A class is counted and rendered
+    from _assemble's fields, its weight read off its least vertex's a-type
+    tally.  With out, lines[size] lists its classes by least vertex, None
+    for one not of weight (if given).  With scan, each word is scanned as
+    it is handed on, after its row if it has one.
     """
     n, prefix, out, wt, scan = job
     stats, lines, failures, reverse, rows = Counter(), {1: []} if out else {}, [], {}, {}
-    free = [0] * (n // 2 + 1)  # edge-free classes by weight
 
     def count(gtype, vertices, edges, root, alternating):
         tally = vertices[0].count("a") + vertices[0].count("A")
@@ -229,7 +222,18 @@ def _shard_job(job) -> tuple:
             line = _to_json(gtype, w_weight, root, alternating, vertices, edges) if wt in (None, w_weight) else None
             lines.setdefault(len(vertices), []).append(line)
 
-    def finish(w, pc, deltas):  # stores w's row, or counts w's class here if its level images are all w
+    def visit(w, tally, ab, aB):  # counts w's class here, or stores w's row
+        need = 2 * (ab if ab > aB else aB)
+        if tally > need < n - tally:  # edge-free: every principal_deltas entry is positive
+            w_weight = n - tally if tally > n - tally else tally
+            stats["P1", w_weight, 1, False] += 1
+            if scan:
+                failures.extend(_coincidences(w, principal_deltas(tally, n - tally, (0, 0, ab, aB))))
+            if out:
+                lines[1].append(chr(w_weight) + w if wt in (None, w_weight) else None)
+            return
+        pc = (tally - ab - aB, n - tally - ab - aB, ab, aB)  # (aa, bb, ab, aB)
+        deltas = principal_deltas(tally, n - tally, pc)
         row = vertex_row(w, pc, deltas, reverse, rows)
         if scan:
             failures.extend(_coincidences(w, deltas, dict(row[1])))
@@ -239,15 +243,7 @@ def _shard_job(job) -> tuple:
                 return
         count(*_assemble([row]))
 
-    def edge_free(entry):  # chr(W) + w: an edge-free word w of weight W
-        free[ord(entry[0])] += 1
-        if scan:
-            failures.extend(_coincidences(entry[1:], _shrinking(entry[1:])[2]))
-        if out:
-            lines[1].append(entry if wt is None or ord(entry[0]) == wt else None)
-
-    kept = _shard_rows(n, prefix, finish, edge_free)[0]
-    stats.update({("P1", w_weight, 1, False): k for w_weight, k in enumerate(free) if k})
+    kept = _shard_rows(n, prefix, visit)[0]
     for w in list(rows):
         if w in rows:  # w is the least vertex of its class in the shard
             gtype, vertices, edges, root, alternating = _assemble(level_closure(w, rows, reverse))
@@ -261,10 +257,10 @@ def _shard_job(job) -> tuple:
 
 
 def _shard_words(job) -> list:
-    """The vertices of one shard (n, prefix), in ascending order; no row is built."""
+    """The vertices of one shard (n, prefix), ascending, as the scan hands them on; no count is read."""
     words = []
-    _shard_rows(*job, lambda w, pc, deltas: words.append(w), words.append)
-    return [e if e[:1] == "a" else e[1:] for e in words]  # an edge-free entry is chr(W) + w, and w starts with a
+    _shard_rows(*job, lambda w, *counts: words.append(w))
+    return words
 
 
 def _shard_prefixes(n: int) -> list:

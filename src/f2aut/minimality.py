@@ -149,8 +149,8 @@ def _run_length(p: int, w: str, pc, d) -> int:
 def _shrinking(w: str) -> tuple:
     """(p, pc, deltas): the pair_counts and principal_deltas of w, and the
     index p of the principal the greedy rule applies to w, or None.  is_minimal,
-    f2aut profile, level_closure, _power_path, the greedy reduction and the
-    census's coincidence scan of an edge-free word read them here."""
+    f2aut profile, level_closure, _power_path and the greedy reduction read
+    them here."""
     pc = pair_counts(w)
     runs = pc.ab + pc.ab_bar  # (aa) = a tally - runs, (bb) = b tally - runs (see pair_counts)
     tally = (pc.aa + runs, pc.bb + runs) if len(w) > 1 else letter_tally(w)

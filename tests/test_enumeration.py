@@ -85,31 +85,27 @@ def check_shards_match_unpruned_scan(monkeypatch, n: int, prefixes) -> None:
     """Each shard's words, which enumerate_minimal reads, are the unpruned
     scan's, and every row its job builds with the shard's reverse table is
     the oracle's vertex_row; no row is built for an edge-free word.  The
-    job receives each word with no level image, and only those, at the
-    scan's leaf as chr(W) + w, in order, W the weight of the oracle's tally."""
-    built, handed = {}, []
+    job tells apart each word with no level image, and only those, and
+    keeps it as chr(W) + w among its size-1 lines, in order, W the weight
+    of the oracle's tally."""
+    built = {}
 
     def recorded(w, *args):
         built[w] = real(w, *args)
         return built[w]
 
-    def scan_recorded(n, prefix, visit, edge_free):
-        return real_scan(n, prefix, visit, lambda entry: handed.append(entry) or edge_free(entry))
-
-    real, real_scan = enumeration.vertex_row, enumeration._shard_rows
+    real = enumeration.vertex_row
     monkeypatch.setattr(enumeration, "vertex_row", recorded)
-    monkeypatch.setattr(enumeration, "_shard_rows", scan_recorded)
     for p in prefixes:
         words = unpruned_rows(n, p)
         assert _shard_words((n, p)) == words, p
         built.clear()
-        handed.clear()
-        _shard_job((n, p, False, None, False))
+        singles = _shard_job((n, p, True, None, False))[2][1]
         assert list(built) == [w for w in words if orc.o_vertex_row(w)[1]], p
         for w, row in built.items():
             assert row == orc.o_vertex_row(w)
         tallies = {w: orc.o_count(w, "a") for w in words if not orc.o_vertex_row(w)[1]}
-        assert handed == [chr(min(t, n - t)) + w for w, t in tallies.items()], p
+        assert [e for e in singles if not e.startswith("{")] == [chr(min(t, n - t)) + w for w, t in tallies.items()], p
 
 
 # the reduced prefixes of two to four letters whose first letter after the
@@ -144,7 +140,7 @@ def test_scan_builds_few_leaves_per_kept_row():
     tied start, such as the run at position 2 after a single leading a
     (4,072 leaves), which changes no row up to n = 16."""
     handed = []
-    counts = [enumeration._shard_rows(12, p, lambda w, *_: handed.append(w), handed.append) for p in _shard_prefixes(12)]
+    counts = [enumeration._shard_rows(12, p, lambda w, *_: handed.append(w)) for p in _shard_prefixes(12)]
     kept, leaves = map(sum, zip(*counts))
     assert kept == len(handed) == 3588
     assert leaves == 4071 <= 1.2 * kept
@@ -195,20 +191,14 @@ def test_step_tables_follow_the_digraph_rule():
 
 
 @pytest.mark.parametrize("n", range(2, 13))
-def test_the_last_letter_prune_is_exact(monkeypatch, n):
+def test_the_last_letter_prune_is_exact(n):
     """The bound checked as the last letter is placed, with the wrap digraph
-    in the counts, is the minimality test: every principal_deltas call of
-    the one-job shard and of each prefix shard has no negative entry."""
+    in the counts, is the minimality test: the principal_deltas of the
+    counts handed on with every word, edge-free or not, of the one-job
+    shard and of each prefix shard have no negative entry."""
     deltas = []
-
-    def recorded(*args):
-        deltas.append(real(*args))
-        return deltas[-1]
-
-    real = enumeration.principal_deltas
-    monkeypatch.setattr(enumeration, "principal_deltas", recorded)
     for p in dict.fromkeys(["a", *_shard_prefixes(n)]):
-        _shard_words((n, p))
+        enumeration._shard_rows(n, p, lambda w, t, ab, aB: deltas.append(principal_deltas(t, n - t, (0, 0, ab, aB))))
     assert deltas and all(min(d) >= 0 for d in deltas)
 
 
@@ -452,13 +442,13 @@ def test_no_shard_starts_its_first_non_a_letter_with_B(n, count):
 
 def _census_of_rows(monkeypatch, rows):
     """census([6]) with the scan replaced by one shard of the words of the
-    given rows, each handed to the job's visitor as the scan would, with a
-    level principal; vertex_row returns the given row."""
+    given rows, each handed to the job's visitor as the scan would, with
+    counts that are not edge-free; vertex_row returns the given row."""
     by_word = {row[0]: row for row in rows}
 
-    def one_shard(n, prefix, visit, edge_free):
+    def one_shard(n, prefix, visit):
         for w in by_word:
-            visit(w, None, (0, 0, 0, 0))
+            visit(w, 0, 0, 0)
         return len(by_word), len(by_word)
 
     monkeypatch.setattr(enumeration, "vertex_row", lambda w, *_: by_word[w])
@@ -494,19 +484,14 @@ def _edge_free(w: str) -> bool:
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("dropped", ("aaaaaabbb", "aaaaaabaB"))
 def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypatch, dropped, workers):
-    """The leaf keeps a word that no class counts: an edge-free word,
-    dropped at its hand-off, or a word whose every level image is itself,
-    dropped on its way to the visitor."""
+    """The leaf keeps a word that no class counts: an edge-free word or a
+    word whose every level image is itself, dropped on its way to the
+    visitor."""
     assert _edge_free(dropped) == (dropped == "aaaaaabbb")
     assert {c for _, c in orc.o_vertex_row(dropped)[1]} <= {dropped}
 
-    def drop_at_leaf(n, prefix, visit, edge_free):
-        return _rows_of_shard(
-            n,
-            prefix,
-            lambda w, *counts: None if w == dropped else visit(w, *counts),
-            lambda entry: None if entry[1:] == dropped else edge_free(entry),
-        )
+    def drop_at_leaf(n, prefix, visit):
+        return _rows_of_shard(n, prefix, lambda w, *counts: None if w == dropped else visit(w, *counts))
 
     monkeypatch.setattr(enumeration, "_shard_rows", drop_at_leaf)
     with pytest.raises(TheoremViolation, match="length 9: the classes hold 176 vertices, the scan kept 177"):
@@ -515,31 +500,28 @@ def test_a_one_vertex_class_dropped_at_the_leaf_breaks_the_vertex_total(monkeypa
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
-    """At n = 12 no edge-free word reaches the scan's visitor, a vertex_row,
-    a level_closure or an _assemble, also in the workers, and the census
+    """At n = 12 no edge-free word gets principal_deltas, a vertex_row, a
+    level_closure or an _assemble, also in the workers, and the census
     makes no weight() call and builds no ClassGraph: calls are counted in
     shared memory, (all calls, calls on an edge-free word) per function."""
     counts = multiprocessing.Array("q", 12)
 
-    def counted(k, fn, words_of):
+    def counted(k, fn, on_edge_free):
         def call(*args):
             with counts.get_lock():
                 counts[2 * k] += 1
-                counts[2 * k + 1] += any(map(_edge_free, words_of(*args)))
+                counts[2 * k + 1] += on_edge_free(*args)
             return fn(*args)
 
         return call
 
-    def scan(n, prefix, visit, edge_free):
-        return real_scan(n, prefix, counted(5, visit, lambda w, *_: [w]), edge_free)
-
-    real_scan = enumeration._shard_rows
-    monkeypatch.setattr(enumeration, "_shard_rows", scan)
-    monkeypatch.setattr(enumeration, "vertex_row", counted(0, enumeration.vertex_row, lambda w, *_: [w]))
-    monkeypatch.setattr(enumeration, "level_closure", counted(1, enumeration.level_closure, lambda w, *_: [w]))
-    monkeypatch.setattr(enumeration, "_assemble", counted(2, enumeration._assemble, lambda rows: [r[0] for r in rows]))
-    monkeypatch.setattr(enumeration, "weight", counted(3, enumeration.weight, lambda w: [w]))
-    graph = counted(4, class_graph.ClassGraph, lambda vertices, *_: vertices)
+    monkeypatch.setattr(enumeration, "vertex_row", counted(0, enumeration.vertex_row, lambda w, *_: _edge_free(w)))
+    monkeypatch.setattr(enumeration, "level_closure", counted(1, enumeration.level_closure, lambda w, *_: _edge_free(w)))
+    monkeypatch.setattr(enumeration, "_assemble", counted(2, enumeration._assemble, lambda rows: any(_edge_free(r[0]) for r in rows)))
+    monkeypatch.setattr(enumeration, "weight", counted(3, enumeration.weight, _edge_free))
+    graph = counted(4, class_graph.ClassGraph, lambda vertices, *_: any(map(_edge_free, vertices)))
+    # the counts handed to principal_deltas are an edge-free word's if every length change is positive
+    monkeypatch.setattr(enumeration, "principal_deltas", counted(5, principal_deltas, lambda *c: min(principal_deltas(*c)) > 0))
     for module in (enumeration, class_graph):  # build_graph wraps _assemble's fields in one
         monkeypatch.setattr(module, "ClassGraph", graph)
     written = []
@@ -551,8 +533,8 @@ def test_edge_free_words_never_reach_the_class_path(monkeypatch, workers):
     assert min(calls[:3] + calls[5:]) > 0
     if workers == 1:
         # of the 3,588 words 1,984 are edge-free and 92 have only loops; the
-        # visitor gets the other 1,604, and the 1,512 stored rows make 468
-        # classes, each closed and assembled once
+        # other 1,604 get their length changes, and the 1,512 stored rows
+        # make 468 classes, each closed and assembled once
         assert calls == [92 + 1512, 468, 468 + 92, 0, 0, 3588 - 1984]
 
 
@@ -621,6 +603,36 @@ def test_enumerate_minimal_builds_no_rows(monkeypatch, workers):
     assert calls.value == 0
     census([12], workers)
     assert calls.value >= 92 + 1512
+
+
+def test_enumerate_minimal_computes_no_length_changes(monkeypatch):
+    """The scan hands on counts, not length changes: enumerate_minimal(12)
+    makes no principal_deltas call, where census([12]) makes one per word
+    with a level principal (the scan made 1,604 when it computed them)."""
+    calls = []
+    monkeypatch.setattr(enumeration, "principal_deltas", lambda *counts: calls.append(counts) or principal_deltas(*counts))
+    assert len(enumerate_minimal(12)) == 3588
+    assert calls == []
+    census([12])
+    assert len(calls) == 3588 - 1984
+
+
+def test_the_coincidence_scan_reads_each_word_once(monkeypatch):
+    """census([12]) under coincidences reads every word's length changes
+    off the counts the scan hands on, the 1,984 edge-free words' too: it
+    makes no _shrinking call (one per edge-free word when the scan handed
+    those on as their weight and word alone), and scans each of the 3,588
+    words once with its principal_deltas."""
+    calls, scanned_words = [], []
+    real, real_scan = minimality._shrinking, enumeration._coincidences
+    for module in (minimality, enumeration):  # enumeration calls it by its own name, if it imports it
+        monkeypatch.setattr(module, "_shrinking", lambda w: calls.append(w) or real(w), raising=False)
+    monkeypatch.setattr(enumeration, "_coincidences", lambda w, d, *level: scanned_words.append((w, d)) or real_scan(w, d, *level))
+    scanned = {}
+    census([12], 1, coincidences=scanned.__setitem__)
+    assert scanned == {12: []}
+    assert calls == []
+    assert scanned_words == [(w, _deltas(w)) for w in enumerate_minimal(12)]
 
 
 def test_a_reverse_edge_left_after_the_scan_fails_the_shard(monkeypatch):
